@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from . import model as mdl
@@ -26,6 +25,7 @@ from .state import (
     _scalar_precond,
     _scalar_system,
     _viscous_matrix,
+    damage_jacobian,
     u_operator,
 )
 
@@ -208,11 +208,10 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
     A_r = _scalar_system(g, float(tau), True)
     P_n = _scalar_precond(g, float(tau), False)
     P_r = _scalar_precond(g, float(tau), True)
-    K_A = _viscous_matrix(g, spec.A_mu, spec.A_lam)
+    K_A_tau = _viscous_matrix(g, spec.A_mu, spec.A_lam, tau)
     idx = g.interior_vector_indices
     gtw = g.sym_grad_weighted_transpose
-    MK_int = u_operator(spec, traj.phi[K], traj.z[K - 1], tau)[idx][:, idx]
-    precond = splu(MK_int.tocsc()).solve
+    precond = splu(u_operator(spec, traj.phi[K], traj.z[K - 1], tau).tocsc()).solve
 
     for m in range(K, 0, -1):
         ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], traj.eps_u[m]
@@ -254,10 +253,9 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
         )
         r[m - 1] = sol.reshape(shape)
 
-        M = u_operator(spec, ph, traj.z[m - 1], tau)
-        M_int = M[idx][:, idx]
+        M_int = u_operator(spec, ph, traj.z[m - 1], tau)
         load = gtw @ (d2 * s[m] + a[5] * spec.gamma.value(ph) * ee).reshape(3, -1).ravel()
-        rhs = ((K_A / tau) @ v[m].reshape(2, -1).ravel() + load)[idx]
+        rhs = (K_A_tau @ v[m].reshape(2, -1).ravel() + load)[idx]
         sol, _ = cg_solve(
             M_int, rhs, x0=v[m].reshape(2, -1).ravel()[idx], label="v-step", precond=precond
         )
@@ -267,7 +265,7 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
         eps_v[m - 1] = g.sym_grad(v[m - 1])
 
         slope = mdl.beta_prime(zz, spec) + mdl.pi_prime(zz, spec)
-        J = (sps.diags(w * (1.0 + tau * slope).ravel()) - tau * g.wl_neumann).tocsr()
+        J = damage_jacobian(g, tau, 1.0 + tau * slope)
         f_s = a3 * q[m] + b3 * r[m] - tensor_dot(c2, eps_v[m]) + a[6] * (zz - targets.z_track)
         sol, _ = cg_solve(
             J, w * (s[m] + tau * f_s).ravel(), x0=s[m].ravel(), label="s-step", precond=P_n

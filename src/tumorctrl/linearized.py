@@ -15,7 +15,6 @@ derivative: thirteen per-node fields, one for each way a perturbation of
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from . import model as mdl
@@ -26,6 +25,7 @@ from .state import (
     _scalar_precond,
     _scalar_system,
     _viscous_matrix,
+    damage_jacobian,
     solve_state,
     u_operator,
 )
@@ -143,11 +143,10 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
     A_r = _scalar_system(g, float(tau), True)
     P_n = _scalar_precond(g, float(tau), False)
     P_r = _scalar_precond(g, float(tau), True)
-    K_A = _viscous_matrix(g, spec.A_mu, spec.A_lam)
+    K_A_tau = _viscous_matrix(g, spec.A_mu, spec.A_lam, tau)
     idx = g.interior_vector_indices
     gtw = g.sym_grad_weighted_transpose
-    M0_int = u_operator(spec, traj.phi[1], traj.z[0], tau)[idx][:, idx]
-    precond = splu(M0_int.tocsc()).solve
+    precond = splu(u_operator(spec, traj.phi[1], traj.z[0], tau).tocsc()).solve
 
     for n in range(K):
         ph, sg, zz = traj.phi[n], traj.sigma[n], traj.z[n]
@@ -186,10 +185,9 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
         c2 = -stress_from_strain(
             spec.B_mu.d2(ph_new, zz), spec.B_lam.d2(ph_new, zz), traj.eps_u[n + 1]
         )
-        M = u_operator(spec, ph_new, zz, tau)
-        M_int = M[idx][:, idx]
+        M_int = u_operator(spec, ph_new, zz, tau)
         load = gtw @ (c1 * xi[n + 1] + c2 * zeta[n]).reshape(3, -1).ravel()
-        rhs = ((K_A / tau) @ omega[n].reshape(2, -1).ravel() + load)[idx]
+        rhs = (K_A_tau @ omega[n].reshape(2, -1).ravel() + load)[idx]
         sol, _ = cg_solve(
             M_int, rhs, x0=omega[n].reshape(2, -1).ravel()[idx], label="omega-step", precond=precond
         )
@@ -203,7 +201,7 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
         d1 = -spec.psi.d_phi(ph_new, traj.eps_u[n + 1])
         d2 = -spec.psi.d_eps(ph_new, traj.eps_u[n + 1])
         slope = mdl.beta_prime(z_new, spec) + mdl.pi_prime(z_new, spec)
-        J = (sps.diags(w * (1.0 + tau * slope).ravel()) - tau * g.wl_neumann).tocsr()
+        J = damage_jacobian(g, tau, 1.0 + tau * slope)
         rhs = w * (
             zeta[n] + tau * (d1 * xi[n + 1] + tensor_dot(d2, eps_omega[n + 1]))
         ).ravel()

@@ -22,7 +22,7 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from . import model as mdl
-from .errors import SolverError
+from .errors import SeparationError, SolverError
 from .linalg import cg_solve
 from .snapshots import write_manifest, write_snapshot_bin, write_snapshot_csv
 
@@ -127,25 +127,47 @@ def _scalar_precond(grid, tau, robin):
     return splu(_scalar_system(grid, tau, robin).tocsc()).solve
 
 
-def u_operator(spec, phi, z, tau):
-    """Weighted elasticity operator of the displacement substep.
+@lru_cache(maxsize=16)
+def _damage_laplacian(grid, tau):
+    """-tau*wl_neumann in canonical CSR and the data slots of its diagonal."""
+    base = (-tau * grid.wl_neumann).tocsr()
+    base.sort_indices()
+    rows = np.repeat(np.arange(grid.n_nodes), np.diff(base.indptr))
+    return base, np.flatnonzero(base.indices == rows)
 
-    Viscous part over tau plus the state-dependent elastic part; symmetric
-    positive definite once restricted to interior degrees of freedom.
+
+def damage_jacobian(grid, tau, diag):
+    """Weighted damage Jacobian diag(w*diag) - tau*wl_neumann.
+
+    Written on the cached pattern of the Laplacian part, whose diagonal is
+    stored, so a new diagonal costs one copy of its data array.  Every
+    result shares that pattern's index arrays: do not edit them in place.
     """
-    g = spec.grid
+    base, slots = _damage_laplacian(grid, float(tau))
+    data = base.data.copy()
+    data[slots] += grid.quad_weights * diag.ravel()
+    return sps.csr_matrix((data, base.indices, base.indptr), shape=base.shape)
+
+
+def u_operator(spec, phi, z, tau):
+    """SPD interior block of the displacement substep's weighted operator.
+
+    Viscous part over tau plus the state-dependent elastic part, restricted
+    to interior degrees of freedom.  Both parts are elastic operators, so
+    their sum is the elastic operator at the summed moduli.
+    """
     mu_b, lam_b = mdl.eval_B(phi, z, spec)
-    K_A = _viscous_matrix(g, spec.A_mu, spec.A_lam)
-    return (K_A / tau + g.elastic_matrix(mu_b, lam_b)).tocsr()
+    return spec.grid.interior_elastic_matrix(mu_b + spec.A_mu / tau, lam_b + spec.A_lam / tau)
 
 
 @lru_cache(maxsize=16)
-def _viscous_cached(grid, a_mu, a_lam):
-    return grid.elastic_matrix(a_mu, a_lam)
+def _viscous_cached(grid, a_mu, a_lam, tau):
+    return grid.elastic_matrix(a_mu, a_lam) / tau
 
 
-def _viscous_matrix(grid, a_mu, a_lam):
-    return _viscous_cached(grid, float(a_mu), float(a_lam))
+def _viscous_matrix(grid, a_mu, a_lam, tau):
+    """Viscous operator over the time step, K_A / tau, on all nodes."""
+    return _viscous_cached(grid, float(a_mu), float(a_lam), float(tau))
 
 
 def step_phi(phi, sigma, z, chi1, tau, spec, x0=None):
@@ -188,12 +210,9 @@ def step_u(u, phi_new, z, f, tau, spec, precond=None, x0=None):
     """Quasi-static viscoelastic update on Dirichlet-zero displacements."""
     g = spec.grid
     idx = g.interior_vector_indices
-    M = u_operator(spec, phi_new, z, tau)
-    M_int = M[idx][:, idx]
-    K_A = _viscous_matrix(g, spec.A_mu, spec.A_lam)
-    rhs = (g.vector_weights * f.reshape(2, -1).ravel() + (K_A / tau) @ u.reshape(2, -1).ravel())[
-        idx
-    ]
+    M_int = u_operator(spec, phi_new, z, tau)
+    K_A_tau = _viscous_matrix(g, spec.A_mu, spec.A_lam, tau)
+    rhs = (g.vector_weights * f.reshape(2, -1).ravel() + K_A_tau @ u.reshape(2, -1).ravel())[idx]
     if precond is None:
         lu = splu(M_int.tocsc())
         precond = lu.solve
@@ -235,7 +254,7 @@ def step_z(z, phi_new, eps_new, tau, spec):
                 f"concave slope (min diagonal {slope.min():.3e})",
                 history,
             )
-        J = (sps.diags(w * slope.ravel()) - tau * g.wl_neumann).tocsr()
+        J = damage_jacobian(g, tau, slope)
         delta, _ = cg_solve(
             J, -(w * res.ravel()), label="z-newton", precond=_scalar_precond(g, float(tau), False)
         )
@@ -284,7 +303,7 @@ def solve_state(control: Control, spec, grid=None, n_steps=None) -> StateTraject
     try:
         sep = mdl.separation_bounds(spec)
         window = (sep.r_low, sep.r_high)
-    except Exception:
+    except SeparationError:
         window = None
 
     d = Diagnostics(
@@ -300,9 +319,7 @@ def solve_state(control: Control, spec, grid=None, n_steps=None) -> StateTraject
         z_excess=0.0,
     )
 
-    idx = g.interior_vector_indices
-    M0_int = u_operator(spec, spec.phi0, spec.z0, tau)[idx][:, idx]
-    precond = splu(M0_int.tocsc()).solve
+    precond = splu(u_operator(spec, spec.phi0, spec.z0, tau).tocsc()).solve
 
     for n in range(K):
         phi[n + 1], d.phi_clamp[n], d.cg_phi[n] = step_phi(

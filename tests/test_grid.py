@@ -278,6 +278,20 @@ def test_elastic_matrix_spd_on_interior():
     assert abs(Kint - Kint.T).max() < 1e-12 * abs(K).max()
 
 
+def test_interior_elastic_matrix_is_restricted_elastic_matrix():
+    g = Grid(9, 6, 0.11, 0.17)
+    x, y = g.meshes
+    mu = 1.0 + 0.3 * np.sin(2.0 * x) * np.cos(3.0 * y)
+    lam = 0.4 + 0.2 * x * y
+    idx = g.interior_vector_indices
+    ref = g.elastic_matrix(mu, lam)[idx][:, idx]
+    ref.sort_indices()
+    K = g.interior_elastic_matrix(mu, lam)
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    assert np.abs(K.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
+
+
 def test_stress_from_strain_matches_tensor_dot_energy():
     rng = np.random.default_rng(30)
     eps = rng.standard_normal((3, 4, 5))

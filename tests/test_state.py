@@ -1,12 +1,16 @@
 """Forward solver tests: substep oracles, invariants, convergence orders."""
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from tumorctrl.grid import Grid
 from tumorctrl import model as mdl
 from tumorctrl.presets import bounds_stress_scenario, ode_rhs, ode_scenario, smooth_scenario
+from tumorctrl.adjoint import CostWeights, Targets, solve_adjoint
+from tumorctrl.linearized import solve_linearized
 from tumorctrl.state import (
     Control,
+    damage_jacobian,
     save_trajectory,
     sigma_cap_for,
     solve_state,
@@ -109,13 +113,53 @@ def test_u_zero_data_zero_solution(small_spec):
 
 def test_u_operator_positive_definite(small_spec):
     g = small_spec.grid
-    M = u_operator(small_spec, const(g, 0.4), const(g, 0.5), 0.02)
-    idx = g.interior_vector_indices
-    M_int = M[idx][:, idx]
+    M_int = u_operator(small_spec, const(g, 0.4), const(g, 0.5), 0.02)
     rng = np.random.default_rng(13)
     for _ in range(20):
-        w = rng.standard_normal(len(idx))
+        w = rng.standard_normal(len(g.interior_vector_indices))
         assert float(w @ (M_int @ w)) > 0.0
+
+
+def test_u_operator_is_interior_of_viscous_plus_elastic(small_spec):
+    g = small_spec.grid
+    x, y = g.meshes
+    phi = 0.3 + 0.2 * np.sin(np.pi * x) * np.cos(np.pi * y)
+    z = 0.5 + 0.1 * x * y
+    tau = 0.02
+    mu_b, lam_b = mdl.eval_B(phi, z, small_spec)
+    K_A = g.elastic_matrix(small_spec.A_mu, small_spec.A_lam)
+    idx = g.interior_vector_indices
+    ref = (K_A / tau + g.elastic_matrix(mu_b, lam_b))[idx][:, idx]
+    diff = u_operator(small_spec, phi, z, tau) - ref
+    assert abs(diff).max() <= 1e-13 * abs(ref).max()
+
+
+def test_damage_jacobian_matches_assembled_form(small_spec):
+    g = small_spec.grid
+    rng = np.random.default_rng(4)
+    tau = 0.02
+    for _ in range(2):
+        diag = rng.uniform(0.5, 2.0, g.shape)
+        ref = (sps.diags(g.quad_weights * diag.ravel()) - tau * g.wl_neumann).tocsr()
+        J = damage_jacobian(g, tau, diag)
+        assert abs(J - ref).max() == 0.0
+
+
+def test_elastic_assembly_is_not_repeated_per_step(monkeypatch):
+    calls = []
+    original = Grid.elastic_matrix
+
+    def counted(self, mu, lam):
+        calls.append(1)
+        return original(self, mu, lam)
+
+    monkeypatch.setattr(Grid, "elastic_matrix", counted)
+    sc = smooth_scenario(nx=8, n_steps=12)
+    traj = solve_state(sc.control, sc.spec)
+    solve_linearized(traj, sc.control, sc.spec)
+    solve_adjoint(traj, CostWeights(), Targets.resting(sc.spec), sc.spec)
+    # the interior pattern and the viscous operator, each at most once
+    assert len(calls) <= 2
 
 
 def test_u_one_step_manufactured_second_order():
