@@ -17,17 +17,10 @@ from typing import Optional
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from . import model as mdl
-from .grid import stress_from_strain, tensor_dot
+from .grid import tensor_dot
 from .linalg import cg_solve
-from .state import (
-    StateTrajectory,
-    _scalar_precond,
-    _scalar_system,
-    _viscous_matrix,
-    damage_jacobian,
-    u_operator,
-)
+from .linearized import assemble_coefficients, dose_coefficients
+from .state import StateTrajectory, damage_jacobian, solve_u, step_operators, u_operator
 
 
 _PART_NAMES = (
@@ -204,71 +197,34 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
     r[K] = a[4] * (traj.sigma[K] - targets.sigma_final)
     s[K] = a[7]
 
-    A_n = _scalar_system(g, float(tau), False)
-    A_r = _scalar_system(g, float(tau), True)
-    P_n = _scalar_precond(g, float(tau), False)
-    P_r = _scalar_precond(g, float(tau), True)
-    K_A_tau = _viscous_matrix(g, spec.A_mu, spec.A_lam, tau)
-    idx = g.interior_vector_indices
+    ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
     precond = splu(u_operator(spec, traj.phi[K], traj.z[K - 1], tau).tocsc()).solve
 
     for m in range(K, 0, -1):
         ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], traj.eps_u[m]
-        p = spec.p.value(sg, zz)
-        g_ = spec.g.value(sg, zz)
-        logi = ph * (1.0 - ph / spec.N)
-        a1 = (p - chi1[m]) * (1.0 - 2.0 * ph / spec.N) - g_
-        a2 = spec.p.d1(sg, zz) * logi - ph * spec.g.d1(sg, zz)
-        a3 = spec.p.d2(sg, zz) * logi - ph * spec.g.d2(sg, zz)
-        k1 = spec.k1.value(ph, zz)
-        k2 = spec.k2.value(ph, zz)
-        den = k2 + sg
-        b1 = -spec.k1.d1(ph, zz) * sg / den + k1 * sg * spec.k2.d1(ph, zz) / den**2
-        b1 = b1 + chi2[m] * spec.S.d1(ph, zz)
-        b2 = -k1 / den + k1 * sg / den**2
-        b3 = -spec.k1.d2(ph, zz) * sg / den + k1 * sg * spec.k2.d2(ph, zz) / den**2
-        b3 = b3 + chi2[m] * spec.S.d2(ph, zz)
-        c1 = -stress_from_strain(spec.B_mu.d1(ph, zz), spec.B_lam.d1(ph, zz), ee)
-        c2 = -stress_from_strain(spec.B_mu.d2(ph, zz), spec.B_lam.d2(ph, zz), ee)
-        d1 = -spec.psi.d_phi(ph, ee)
-        d2 = -spec.psi.d_eps(ph, ee)
+        co = assemble_coefficients(ph, sg, zz, ee, chi1[m], chi2[m], spec)
 
         f_q = (
-            a1 * q[m]
-            + b1 * r[m]
-            + d1 * s[m]
-            - tensor_dot(c1, eps_v[m])
+            co.a1 * q[m]
+            + co.b1 * r[m]
+            + co.d1 * s[m]
+            - tensor_dot(co.c1, eps_v[m])
             + a[0] * (ph - targets.phi_track)
             + 0.5 * a[5] * spec.gamma.d(ph) * tensor_dot(ee, ee)
         )
-        sol, _ = cg_solve(
-            A_n, w * (q[m] + tau * f_q).ravel(), x0=q[m].ravel(), label="q-step", precond=P_n
-        )
-        q[m - 1] = sol.reshape(shape)
+        q[m - 1] = ops.solve_neumann(w * (q[m] + tau * f_q).ravel()).reshape(shape)
 
-        f_r = a2 * q[m] + b2 * r[m] + a[3] * (sg - targets.sigma_track)
-        sol, _ = cg_solve(
-            A_r, w * (r[m] + tau * f_r).ravel(), x0=r[m].ravel(), label="r-step", precond=P_r
-        )
-        r[m - 1] = sol.reshape(shape)
+        f_r = co.a2 * q[m] + co.b2 * r[m] + a[3] * (sg - targets.sigma_track)
+        r[m - 1] = ops.solve_robin(w * (r[m] + tau * f_r).ravel()).reshape(shape)
 
-        M_int = u_operator(spec, ph, traj.z[m - 1], tau)
-        load = gtw @ (d2 * s[m] + a[5] * spec.gamma.value(ph) * ee).reshape(3, -1).ravel()
-        rhs = (K_A_tau @ v[m].reshape(2, -1).ravel() + load)[idx]
-        sol, _ = cg_solve(
-            M_int, rhs, x0=v[m].reshape(2, -1).ravel()[idx], label="v-step", precond=precond
-        )
-        full = np.zeros(2 * g.n_nodes)
-        full[idx] = sol
-        v[m - 1] = full.reshape((2,) + shape)
-        eps_v[m - 1] = g.sym_grad(v[m - 1])
+        load = gtw @ (co.d2 * s[m] + a[5] * spec.gamma.value(ph) * ee).reshape(3, -1).ravel()
+        v[m - 1], eps_v[m - 1], _ = solve_u(v[m], load, ph, traj.z[m - 1], tau, spec, precond, "v-step")
 
-        slope = mdl.beta_prime(zz, spec) + mdl.pi_prime(zz, spec)
-        J = damage_jacobian(g, tau, 1.0 + tau * slope)
-        f_s = a3 * q[m] + b3 * r[m] - tensor_dot(c2, eps_v[m]) + a[6] * (zz - targets.z_track)
+        J = damage_jacobian(spec, tau, 1.0 - tau * co.d3)
+        f_s = co.a3 * q[m] + co.b3 * r[m] - tensor_dot(co.c2, eps_v[m]) + a[6] * (zz - targets.z_track)
         sol, _ = cg_solve(
-            J, w * (s[m] + tau * f_s).ravel(), x0=s[m].ravel(), label="s-step", precond=P_n
+            J, w * (s[m] + tau * f_s).ravel(), x0=s[m].ravel(), label="s-step", precond=ops.solve_neumann
         )
         s[m - 1] = sol.reshape(shape)
 
@@ -289,8 +245,7 @@ def duality_residual(traj, lin, adj, direction, weights: CostWeights, targets: T
 
     lhs = 0.0
     for n in range(K + 1):
-        a4 = -traj.phi[n] * (1.0 - traj.phi[n] / spec.N)
-        b4 = spec.S.value(traj.phi[n], traj.z[n])
+        a4, b4 = dose_coefficients(traj.phi[n], traj.z[n], spec)
         lhs += tw[n] * (
             g.inner(a4 * direction.chi1[n], adj.q[n]) + g.inner(b4 * direction.chi2[n], adj.r[n])
         )

@@ -59,18 +59,20 @@ def _hypothesis_report(cfg):
     )
 
 
-def _print_failures(report):
-    print("hypothesis gate failed:")
-    for row in report.failures:
-        print(f"  {row.name}: margin {row.margin: .3e} at {row.witness}")
+def _gate_passes(cfg):
+    """Hypothesis gate run before any solve; prints the failed rows."""
+    report = _hypothesis_report(cfg)
+    if not report.ok:
+        print("hypothesis gate failed:")
+        for row in report.failures:
+            print(f"  {row.name}: margin {row.margin: .3e} at {row.witness}")
+    return report.ok
 
 
 def cmd_simulate(cfg, args):
     if args.oracle:
         _oracle_preflight(cfg)
-    report = _hypothesis_report(cfg)
-    if not report.ok:
-        _print_failures(report)
+    if not _gate_passes(cfg):
         return EXIT_FAIL
     try:
         sb = mdl.separation_bounds(cfg.spec)
@@ -165,6 +167,8 @@ def _ode_oracle_report(cfg, traj):
 
 
 def cmd_gradient_check(cfg, args):
+    if not _gate_passes(cfg):
+        return EXIT_FAIL
     levels = 1 + max(0, args.refine)
     rng = np.random.default_rng(cfg.seed)
     print(f"tolerance anchor: {_GRAD_TOL:.1e} at {_REF_NX}x{_REF_NX}, "
@@ -222,6 +226,8 @@ def cmd_gradient_check(cfg, args):
 
 
 def cmd_optimize(cfg, args):
+    if not _gate_passes(cfg):
+        return EXIT_FAIL
     start, _ = project_admissible(cfg.control0, cfg.admissible, cfg.spec.grid, cfg.spec.T)
     j0, _ = eval_cost(solve_state(start, cfg.spec), cfg.weights, cfg.targets, cfg.spec)
     res = optimize(

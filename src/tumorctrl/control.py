@@ -5,8 +5,10 @@ dose sensitivities of their equations and adds the quadratic effort
 term.  Minimization runs projected gradient descent with an Armijo line
 search; the projection clamps to the dose boxes and then rescales the
 first dose into its smoothness ball, re-clamping once.  That composite
-is the exact projection whenever the boxes contain zero, which the
-shipped admissible sets do.
+is the exact projection when the ball is inactive, and for constant
+doses, but not in general: with the ball active on a non-constant dose
+the radial rescale can land farther from the input than the nearest
+admissible point.
 
 vi_residual probes the first-order optimality of a candidate from two
 independent routes: directional pairings against admissible probes and
@@ -27,6 +29,7 @@ from .adjoint import (
     solve_adjoint,
     time_weights,
 )
+from .linearized import dose_coefficients
 from .state import Control, StateTrajectory, solve_state
 
 
@@ -101,9 +104,9 @@ def reduced_gradient(traj: StateTrajectory, adj: AdjointTrajectory, weights: Cos
     g1 = np.empty_like(traj.control.chi1)
     g2 = np.empty_like(traj.control.chi2)
     for n in range(K + 1):
-        ph = traj.phi[n]
-        g1[n] = -ph * (1.0 - ph / spec.N) * adj.q[n] + a9 * traj.control.chi1[n]
-        g2[n] = spec.S.value(ph, traj.z[n]) * adj.r[n] + a9 * traj.control.chi2[n]
+        a4, b4 = dose_coefficients(traj.phi[n], traj.z[n], spec)
+        g1[n] = a4 * adj.q[n] + a9 * traj.control.chi1[n]
+        g2[n] = b4 * adj.r[n] + a9 * traj.control.chi2[n]
     return Control(g1, g2)
 
 

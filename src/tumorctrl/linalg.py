@@ -1,9 +1,11 @@
-"""Conjugate gradient kernel used by every implicit substep.
+"""Conjugate gradient kernel for the implicit substeps without an exact factor.
 
 All implicit operators in this package are assembled in quadrature-weighted
 form, which makes them symmetric positive definite in the ordinary dot
-product, so a single plain CG routine serves the scalar diffusion solves,
-the elasticity solves and the damage Newton steps alike.
+product.  The scalar diffusion solves have a fixed matrix per time step
+and go straight to its cached LU factor; this CG routine serves the
+solves whose preconditioner is only approximate: the displacement
+substeps and the damage Newton steps, in all three sweeps.
 """
 import math
 

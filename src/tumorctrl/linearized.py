@@ -8,9 +8,10 @@ inner solver tolerances, comparing one linearized solve against finite
 differences of two nonlinear solves is a two-sided consistency check on
 both solvers; taylor_test packages that comparison.
 
-assemble_coefficients exposes the frozen-coefficient view of the same
-derivative: thirteen per-node fields, one for each way a perturbation of
-(tumor, lactate, damage, displacement, doses) enters the four equations.
+assemble_coefficients is the single source of the derivative's
+thirteen per-node fields, one for each way a perturbation of (tumor,
+lactate, damage, displacement, doses) enters the four equations; the
+tangent and adjoint sweeps both take their coefficients from it.
 """
 from dataclasses import dataclass
 
@@ -22,11 +23,10 @@ from .grid import stress_from_strain, tensor_dot
 from .state import (
     Control,
     StateTrajectory,
-    _scalar_precond,
-    _scalar_system,
-    _viscous_matrix,
     damage_jacobian,
     solve_state,
+    solve_u,
+    step_operators,
     u_operator,
 )
 from .linalg import cg_solve
@@ -67,15 +67,30 @@ class LinearizedCoefficients:
         return self
 
 
-def assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec) -> LinearizedCoefficients:
-    """Evaluate all thirteen linearization coefficients at one time level."""
+def dose_coefficients(phi, z, spec):
+    """Dose sensitivities (a4, b4) of the tumor and lactate equations."""
+    return -phi * (1.0 - phi / spec.N), spec.S.value(phi, z)
+
+
+def assemble_coefficients(
+    phi, sigma, z, eps, chi1, chi2, spec, phi_mech=None, z_slope=None
+) -> LinearizedCoefficients:
+    """Evaluate all thirteen linearization coefficients at one time level.
+
+    phi_mech is the tumor at which the mechanical coefficients c1, c2, d1
+    and d2 are taken, z_slope the damage at which d3 is; both default to
+    the same level as the rest.  The tangent march staggers them to match
+    the state substeps.
+    """
+    phi_mech = phi if phi_mech is None else phi_mech
+    z_slope = z if z_slope is None else z_slope
     p = spec.p.value(sigma, z)
     g_ = spec.g.value(sigma, z)
-    logi = phi * (1.0 - phi / spec.N)
+    a4, b4 = dose_coefficients(phi, z, spec)
+    logi = -a4
     a1 = (p - chi1) * (1.0 - 2.0 * phi / spec.N) - g_
     a2 = spec.p.d1(sigma, z) * logi - phi * spec.g.d1(sigma, z)
     a3 = spec.p.d2(sigma, z) * logi - phi * spec.g.d2(sigma, z)
-    a4 = -logi
 
     k1 = spec.k1.value(phi, z)
     k2 = spec.k2.value(phi, z)
@@ -85,14 +100,13 @@ def assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec) -> LinearizedCoe
     b2 = -k1 / den + k1 * sigma / den**2
     b3 = -spec.k1.d2(phi, z) * sigma / den + k1 * sigma * spec.k2.d2(phi, z) / den**2
     b3 = b3 + chi2 * spec.S.d2(phi, z)
-    b4 = spec.S.value(phi, z)
 
-    c1 = -stress_from_strain(spec.B_mu.d1(phi, z), spec.B_lam.d1(phi, z), eps)
-    c2 = -stress_from_strain(spec.B_mu.d2(phi, z), spec.B_lam.d2(phi, z), eps)
+    c1 = -stress_from_strain(spec.B_mu.d1(phi_mech, z), spec.B_lam.d1(phi_mech, z), eps)
+    c2 = -stress_from_strain(spec.B_mu.d2(phi_mech, z), spec.B_lam.d2(phi_mech, z), eps)
 
-    d1 = -spec.psi.d_phi(phi, eps)
-    d2 = -spec.psi.d_eps(phi, eps)
-    d3 = -(mdl.beta_prime(z, spec) + mdl.pi_prime(z, spec))
+    d1 = -spec.psi.d_phi(phi_mech, eps)
+    d2 = -spec.psi.d_eps(phi_mech, eps)
+    d3 = -(mdl.beta_prime(z_slope, spec) + mdl.pi_prime(z_slope, spec))
     return LinearizedCoefficients(a1, a2, a3, a4, b1, b2, b3, b4, c1, c2, d1, d2, d3).validate()
 
 
@@ -139,73 +153,29 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
     omega = np.zeros((K + 1, 2) + shape)
     eps_omega = np.zeros((K + 1, 3) + shape)
 
-    A_n = _scalar_system(g, float(tau), False)
-    A_r = _scalar_system(g, float(tau), True)
-    P_n = _scalar_precond(g, float(tau), False)
-    P_r = _scalar_precond(g, float(tau), True)
-    K_A_tau = _viscous_matrix(g, spec.A_mu, spec.A_lam, tau)
-    idx = g.interior_vector_indices
+    ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
     precond = splu(u_operator(spec, traj.phi[1], traj.z[0], tau).tocsc()).solve
 
     for n in range(K):
-        ph, sg, zz = traj.phi[n], traj.sigma[n], traj.z[n]
-        p = spec.p.value(sg, zz)
-        g_ = spec.g.value(sg, zz)
-        logi = ph * (1.0 - ph / spec.N)
-
-        # tumor tangent, all coefficients at level n
-        a1 = (p - chi1[n]) * (1.0 - 2.0 * ph / spec.N) - g_
-        a2 = spec.p.d1(sg, zz) * logi - ph * spec.g.d1(sg, zz)
-        a3 = spec.p.d2(sg, zz) * logi - ph * spec.g.d2(sg, zz)
-        rhs = w * (xi[n] + tau * (a1 * xi[n] + a2 * rho[n] + a3 * zeta[n] - logi * direction.chi1[n])).ravel()
-        sol, _ = cg_solve(A_n, rhs, x0=xi[n].ravel(), label="xi-step", precond=P_n)
-        xi[n + 1] = sol.reshape(shape)
-
-        # lactate tangent, same old-level staggering as the state solver
-        k1 = spec.k1.value(ph, zz)
-        k2 = spec.k2.value(ph, zz)
-        den = k2 + sg
-        b1 = -spec.k1.d1(ph, zz) * sg / den + k1 * sg * spec.k2.d1(ph, zz) / den**2
-        b1 = b1 + chi2[n] * spec.S.d1(ph, zz)
-        b2 = -k1 / den + k1 * sg / den**2
-        b3 = -spec.k1.d2(ph, zz) * sg / den + k1 * sg * spec.k2.d2(ph, zz) / den**2
-        b3 = b3 + chi2[n] * spec.S.d2(ph, zz)
-        b4 = spec.S.value(ph, zz)
-        rhs = w * (rho[n] + tau * (b1 * xi[n] + b2 * rho[n] + b3 * zeta[n] + b4 * direction.chi2[n])).ravel()
-        sol, _ = cg_solve(A_r, rhs, x0=rho[n].ravel(), label="rho-step", precond=P_r)
-        rho[n + 1] = sol.reshape(shape)
-
-        # displacement tangent: moduli derivatives at (new tumor, old damage)
-        # contracted with the new strain, exactly as the state substep sees them
-        ph_new = traj.phi[n + 1]
-        c1 = -stress_from_strain(
-            spec.B_mu.d1(ph_new, zz), spec.B_lam.d1(ph_new, zz), traj.eps_u[n + 1]
+        co = assemble_coefficients(
+            traj.phi[n], traj.sigma[n], traj.z[n], traj.eps_u[n + 1], chi1[n], chi2[n], spec,
+            phi_mech=traj.phi[n + 1], z_slope=traj.z[n + 1],
         )
-        c2 = -stress_from_strain(
-            spec.B_mu.d2(ph_new, zz), spec.B_lam.d2(ph_new, zz), traj.eps_u[n + 1]
-        )
-        M_int = u_operator(spec, ph_new, zz, tau)
-        load = gtw @ (c1 * xi[n + 1] + c2 * zeta[n]).reshape(3, -1).ravel()
-        rhs = (K_A_tau @ omega[n].reshape(2, -1).ravel() + load)[idx]
-        sol, _ = cg_solve(
-            M_int, rhs, x0=omega[n].reshape(2, -1).ravel()[idx], label="omega-step", precond=precond
-        )
-        full = np.zeros(2 * g.n_nodes)
-        full[idx] = sol
-        omega[n + 1] = full.reshape((2,) + shape)
-        eps_omega[n + 1] = g.sym_grad(omega[n + 1])
+        rhs = xi[n] + tau * (co.a1 * xi[n] + co.a2 * rho[n] + co.a3 * zeta[n] + co.a4 * direction.chi1[n])
+        xi[n + 1] = ops.solve_neumann(w * rhs.ravel()).reshape(shape)
 
-        # damage tangent, implicit in its own slope at the new iterate
-        z_new = traj.z[n + 1]
-        d1 = -spec.psi.d_phi(ph_new, traj.eps_u[n + 1])
-        d2 = -spec.psi.d_eps(ph_new, traj.eps_u[n + 1])
-        slope = mdl.beta_prime(z_new, spec) + mdl.pi_prime(z_new, spec)
-        J = damage_jacobian(g, tau, 1.0 + tau * slope)
-        rhs = w * (
-            zeta[n] + tau * (d1 * xi[n + 1] + tensor_dot(d2, eps_omega[n + 1]))
-        ).ravel()
-        sol, _ = cg_solve(J, rhs, x0=zeta[n].ravel(), label="zeta-step", precond=P_n)
+        rhs = rho[n] + tau * (co.b1 * xi[n] + co.b2 * rho[n] + co.b3 * zeta[n] + co.b4 * direction.chi2[n])
+        rho[n + 1] = ops.solve_robin(w * rhs.ravel()).reshape(shape)
+
+        load = gtw @ (co.c1 * xi[n + 1] + co.c2 * zeta[n]).reshape(3, -1).ravel()
+        omega[n + 1], eps_omega[n + 1], _ = solve_u(
+            omega[n], load, traj.phi[n + 1], traj.z[n], tau, spec, precond, "omega-step"
+        )
+
+        J = damage_jacobian(spec, tau, 1.0 - tau * co.d3)
+        rhs = w * (zeta[n] + tau * (co.d1 * xi[n + 1] + tensor_dot(co.d2, eps_omega[n + 1]))).ravel()
+        sol, _ = cg_solve(J, rhs, x0=zeta[n].ravel(), label="zeta-step", precond=ops.solve_neumann)
         zeta[n + 1] = sol.reshape(shape)
 
     return LinearizedTrajectory(

@@ -15,7 +15,7 @@ the data cap with the worst-case production the control can drive.
 """
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sps
@@ -63,8 +63,6 @@ class Diagnostics:
     phi_clamp: np.ndarray
     sigma_clamp: np.ndarray
     newton_iters: np.ndarray
-    cg_phi: np.ndarray
-    cg_sigma: np.ndarray
     cg_u: np.ndarray
     sigma_cap: float
     sigma_cap_heuristic: bool
@@ -76,11 +74,7 @@ class Diagnostics:
             "phi_clamp_max": f"{self.phi_clamp.max() if self.phi_clamp.size else 0.0:.6e}",
             "sigma_clamp_max": f"{self.sigma_clamp.max() if self.sigma_clamp.size else 0.0:.6e}",
             "newton_iters_max": str(int(self.newton_iters.max()) if self.newton_iters.size else 0),
-            "cg_iters_max": str(
-                int(max(self.cg_phi.max(), self.cg_sigma.max(), self.cg_u.max()))
-                if self.cg_phi.size
-                else 0
-            ),
+            "cg_iters_max": str(int(self.cg_u.max()) if self.cg_u.size else 0),
             "sigma_cap": f"{self.sigma_cap:.6e}",
             "sigma_cap_heuristic": str(self.sigma_cap_heuristic).lower(),
             "z_excess": f"{self.z_excess:.3e}",
@@ -110,42 +104,56 @@ class StateTrajectory:
         return float(self.times[1] - self.times[0])
 
 
-@lru_cache(maxsize=16)
-def _scalar_system(grid, tau, robin):
-    w = sps.diags(grid.quad_weights)
-    wl = grid.wl_robin if robin else grid.wl_neumann
-    return (w - tau * wl).tocsr()
+@dataclass(frozen=True)
+class StepOperators:
+    """Fixed operators of one time step, shared by all three sweeps.
 
-
-@lru_cache(maxsize=16)
-def _scalar_precond(grid, tau, robin):
-    """Factorized diffusion system reused as a CG preconditioner.
-
-    Exact for the implicit diffusion solves themselves and still strong
-    for the damage Jacobian, which only adds a positive diagonal.
+    solve_neumann and solve_robin are LU solves of the implicit diffusion
+    systems W - tau*wl (no-flux and Robin boundaries); the no-flux one
+    also preconditions the damage Jacobians, which only add a positive
+    diagonal.  laplacian is -tau*wl_neumann in canonical CSR with
+    diag_slots the data slots of its diagonal; viscous is K_A / tau on
+    all vector nodes.
     """
-    return splu(_scalar_system(grid, tau, robin).tocsc()).solve
+
+    solve_neumann: Callable
+    solve_robin: Callable
+    laplacian: sps.csr_matrix
+    diag_slots: np.ndarray
+    viscous: sps.spmatrix
 
 
 @lru_cache(maxsize=16)
-def _damage_laplacian(grid, tau):
-    """-tau*wl_neumann in canonical CSR and the data slots of its diagonal."""
-    base = (-tau * grid.wl_neumann).tocsr()
-    base.sort_indices()
-    rows = np.repeat(np.arange(grid.n_nodes), np.diff(base.indptr))
-    return base, np.flatnonzero(base.indices == rows)
+def _step_operators(grid, tau, a_mu, a_lam):
+    w = sps.diags(grid.quad_weights)
+    lap = (-tau * grid.wl_neumann).tocsr()
+    lap.sort_indices()
+    rows = np.repeat(np.arange(grid.n_nodes), np.diff(lap.indptr))
+    return StepOperators(
+        solve_neumann=splu((w - tau * grid.wl_neumann).tocsc()).solve,
+        solve_robin=splu((w - tau * grid.wl_robin).tocsc()).solve,
+        laplacian=lap,
+        diag_slots=np.flatnonzero(lap.indices == rows),
+        viscous=grid.elastic_matrix(a_mu, a_lam) / tau,
+    )
 
 
-def damage_jacobian(grid, tau, diag):
+def step_operators(spec, tau):
+    """The cached StepOperators of spec's grid and viscosity at step tau."""
+    return _step_operators(spec.grid, float(tau), float(spec.A_mu), float(spec.A_lam))
+
+
+def damage_jacobian(spec, tau, diag):
     """Weighted damage Jacobian diag(w*diag) - tau*wl_neumann.
 
     Written on the cached pattern of the Laplacian part, whose diagonal is
     stored, so a new diagonal costs one copy of its data array.  Every
     result shares that pattern's index arrays: do not edit them in place.
     """
-    base, slots = _damage_laplacian(grid, float(tau))
+    ops = step_operators(spec, tau)
+    base = ops.laplacian
     data = base.data.copy()
-    data[slots] += grid.quad_weights * diag.ravel()
+    data[ops.diag_slots] += spec.grid.quad_weights * diag.ravel()
     return sps.csr_matrix((data, base.indices, base.indptr), shape=base.shape)
 
 
@@ -160,68 +168,52 @@ def u_operator(spec, phi, z, tau):
     return spec.grid.interior_elastic_matrix(mu_b + spec.A_mu / tau, lam_b + spec.A_lam / tau)
 
 
-@lru_cache(maxsize=16)
-def _viscous_cached(grid, a_mu, a_lam, tau):
-    return grid.elastic_matrix(a_mu, a_lam) / tau
-
-
-def _viscous_matrix(grid, a_mu, a_lam, tau):
-    """Viscous operator over the time step, K_A / tau, on all nodes."""
-    return _viscous_cached(grid, float(a_mu), float(a_lam), float(tau))
-
-
-def step_phi(phi, sigma, z, chi1, tau, spec, x0=None):
+def step_phi(phi, sigma, z, chi1, tau, spec):
     """Implicit diffusion, explicit reaction; clamp to [0, N] with a log."""
     g = spec.grid
     U = mdl.eval_U(phi, sigma, z, chi1, spec)
-    rhs = g.quad_weights * (phi + tau * U).ravel()
-    A = _scalar_system(g, float(tau), False)
-    sol, iters = cg_solve(
-        A,
-        rhs,
-        x0=(phi if x0 is None else x0).ravel(),
-        label="phi-step",
-        precond=_scalar_precond(g, float(tau), False),
-    )
+    sol = step_operators(spec, tau).solve_neumann(g.quad_weights * (phi + tau * U).ravel())
     excess = max(float(-sol.min()), float(sol.max() - spec.N), 0.0)
-    return np.clip(sol, 0.0, spec.N).reshape(g.shape), excess, iters
+    return np.clip(sol, 0.0, spec.N).reshape(g.shape), excess
 
 
-def step_sigma(sigma, phi, z, chi2, sigma_cap, tau, spec, x0=None):
+def step_sigma(sigma, phi, z, chi2, sigma_cap, tau, spec):
     """Implicit diffusion and Robin exchange, explicit kinetics."""
     g = spec.grid
     react = chi2 * spec.S.value(phi, z) - mdl.eval_K(phi, sigma, z, spec)
     rhs = g.quad_weights * (
         (sigma + tau * react).ravel() + tau * g.robin_source(spec.sigma_gamma).ravel()
     )
-    A = _scalar_system(g, float(tau), True)
-    sol, iters = cg_solve(
-        A,
-        rhs,
-        x0=(sigma if x0 is None else x0).ravel(),
-        label="sigma-step",
-        precond=_scalar_precond(g, float(tau), True),
-    )
+    sol = step_operators(spec, tau).solve_robin(rhs)
     excess = max(float(-sol.min()), float(sol.max() - sigma_cap), 0.0)
-    return np.clip(sol, 0.0, sigma_cap).reshape(g.shape), excess, iters
+    return np.clip(sol, 0.0, sigma_cap).reshape(g.shape), excess
 
 
-def step_u(u, phi_new, z, f, tau, spec, precond=None, x0=None):
-    """Quasi-static viscoelastic update on Dirichlet-zero displacements."""
+def solve_u(u_old, load, phi, z, tau, spec, precond, label):
+    """One displacement-type substep on Dirichlet-zero interior nodes.
+
+    Solves (K_A/tau + K_B(phi, z)) u_new = K_A/tau u_old + load by CG
+    warm-started at u_old; precond None factorizes the operator itself.
+    Returns (u_new, sym_grad(u_new), iterations).
+    """
     g = spec.grid
     idx = g.interior_vector_indices
-    M_int = u_operator(spec, phi_new, z, tau)
-    K_A_tau = _viscous_matrix(g, spec.A_mu, spec.A_lam, tau)
-    rhs = (g.vector_weights * f.reshape(2, -1).ravel() + K_A_tau @ u.reshape(2, -1).ravel())[idx]
+    M_int = u_operator(spec, phi, z, tau)
+    old = u_old.reshape(2, -1).ravel()
+    rhs = (step_operators(spec, tau).viscous @ old + load)[idx]
     if precond is None:
-        lu = splu(M_int.tocsc())
-        precond = lu.solve
-    start = (u if x0 is None else x0).reshape(2, -1).ravel()[idx]
-    sol, iters = cg_solve(M_int, rhs, x0=start, label="u-step", precond=precond)
+        precond = splu(M_int.tocsc()).solve
+    sol, iters = cg_solve(M_int, rhs, x0=old[idx], label=label, precond=precond)
     full = np.zeros(2 * g.n_nodes)
     full[idx] = sol
     u_new = full.reshape((2,) + g.shape)
     return u_new, g.sym_grad(u_new), iters
+
+
+def step_u(u, phi_new, z, f, tau, spec, precond=None):
+    """Quasi-static viscoelastic update on Dirichlet-zero displacements."""
+    load = spec.grid.vector_weights * f.reshape(2, -1).ravel()
+    return solve_u(u, load, phi_new, z, tau, spec, precond, "u-step")
 
 
 def step_z(z, phi_new, eps_new, tau, spec):
@@ -254,9 +246,9 @@ def step_z(z, phi_new, eps_new, tau, spec):
                 f"concave slope (min diagonal {slope.min():.3e})",
                 history,
             )
-        J = damage_jacobian(g, tau, slope)
+        J = damage_jacobian(spec, tau, slope)
         delta, _ = cg_solve(
-            J, -(w * res.ravel()), label="z-newton", precond=_scalar_precond(g, float(tau), False)
+            J, -(w * res.ravel()), label="z-newton", precond=step_operators(spec, tau).solve_neumann
         )
         delta = delta.reshape(g.shape)
         alpha = 1.0
@@ -310,8 +302,6 @@ def solve_state(control: Control, spec, grid=None, n_steps=None) -> StateTraject
         phi_clamp=np.zeros(K),
         sigma_clamp=np.zeros(K),
         newton_iters=np.zeros(K, dtype=int),
-        cg_phi=np.zeros(K, dtype=int),
-        cg_sigma=np.zeros(K, dtype=int),
         cg_u=np.zeros(K, dtype=int),
         sigma_cap=cap,
         sigma_cap_heuristic=True,
@@ -322,10 +312,8 @@ def solve_state(control: Control, spec, grid=None, n_steps=None) -> StateTraject
     precond = splu(u_operator(spec, spec.phi0, spec.z0, tau).tocsc()).solve
 
     for n in range(K):
-        phi[n + 1], d.phi_clamp[n], d.cg_phi[n] = step_phi(
-            phi[n], sigma[n], z[n], control.chi1[n], tau, spec
-        )
-        sigma[n + 1], d.sigma_clamp[n], d.cg_sigma[n] = step_sigma(
+        phi[n + 1], d.phi_clamp[n] = step_phi(phi[n], sigma[n], z[n], control.chi1[n], tau, spec)
+        sigma[n + 1], d.sigma_clamp[n] = step_sigma(
             sigma[n], phi[n], z[n], control.chi2[n], cap, tau, spec
         )
         u[n + 1], eps_u[n + 1], d.cg_u[n] = step_u(

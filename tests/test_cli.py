@@ -70,6 +70,28 @@ def test_zero_initial_damage_rejected(tmp_path, capsys):
     assert "initial-data-range" in capsys.readouterr().out
 
 
+OUT_OF_DOMAIN = """
+[grid]
+nx = 8
+ny = 8
+[time]
+t_final = 0.3
+steps = 6
+[model]
+z0 = const:0.0
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "gradient-check", "hypothesis-check"])
+def test_out_of_domain_data_fails_the_gate(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, OUT_OF_DOMAIN)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "initial-data-range" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_unknown_key_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[grid]\nnx = 8\nbogus = 1\n")
     rc = main(["simulate", "--config", cfg])

@@ -1,0 +1,20 @@
+"""Source hygiene: package modules reach each other only by public names."""
+import ast
+from pathlib import Path
+
+import tumorctrl
+
+
+def test_no_private_cross_module_imports():
+    offenders = []
+    for path in sorted(Path(tumorctrl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            internal = node.level > 0 or (node.module or "").startswith("tumorctrl")
+            offenders += [
+                f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                for alias in node.names
+                if internal and alias.name.startswith("_")
+            ]
+    assert not offenders, "private names imported across modules:\n" + "\n".join(offenders)

@@ -1,9 +1,12 @@
 """Forward solver tests: substep oracles, invariants, convergence orders."""
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
 from tumorctrl.grid import Grid
+from tumorctrl import linalg, linearized
 from tumorctrl import model as mdl
 from tumorctrl.presets import bounds_stress_scenario, ode_rhs, ode_scenario, smooth_scenario
 from tumorctrl.adjoint import CostWeights, Targets, solve_adjoint
@@ -15,6 +18,7 @@ from tumorctrl.state import (
     sigma_cap_for,
     solve_state,
     step_phi,
+    step_operators,
     step_sigma,
     step_u,
     step_z,
@@ -36,7 +40,7 @@ def const(grid, v):
 
 def test_phi_zero_stays_zero(small_spec):
     g = small_spec.grid
-    out, excess, iters = step_phi(const(g, 0), const(g, 0.4), const(g, 0.5), const(g, 0.2), 0.01, small_spec)
+    out, excess = step_phi(const(g, 0), const(g, 0.4), const(g, 0.5), const(g, 0.2), 0.01, small_spec)
     assert np.all(out == 0.0)
     assert excess == 0.0
 
@@ -45,7 +49,7 @@ def test_phi_constant_matches_explicit_euler(small_spec):
     g = small_spec.grid
     c, sc, zc, x1 = 0.3, 0.6, 0.45, 0.1
     tau = 0.02
-    out, excess, _ = step_phi(const(g, c), const(g, sc), const(g, zc), const(g, x1), tau, small_spec)
+    out, excess = step_phi(const(g, c), const(g, sc), const(g, zc), const(g, x1), tau, small_spec)
     expected = c + tau * float(mdl.eval_U(c, sc, zc, x1, small_spec))
     assert np.abs(out - expected).max() < 1e-10
     assert excess == 0.0
@@ -72,7 +76,7 @@ def test_phi_clamp_excess_halves_with_tau():
 def test_sigma_zero_stays_zero(small_spec):
     g = small_spec.grid
     spec = small_spec.with_fields(sigma_gamma=const(g, 0.0))
-    out, excess, _ = step_sigma(const(g, 0), const(g, 0.2), const(g, 0.5), const(g, 0.0), 1.0, 0.01, spec)
+    out, excess = step_sigma(const(g, 0), const(g, 0.2), const(g, 0.5), const(g, 0.0), 1.0, 0.01, spec)
     assert np.all(out == 0.0)
     assert excess == 0.0
 
@@ -82,7 +86,7 @@ def test_sigma_constant_steady_state(small_spec):
     spec = small_spec.with_fields(
         k1=mdl.constant_map(0.0), sigma_gamma=const(g, spec_m0 := small_spec.M0)
     )
-    out, excess, _ = step_sigma(
+    out, excess = step_sigma(
         const(g, spec_m0), const(g, 0.3), const(g, 0.5), const(g, 0.0), 2.0, 0.05, spec
     )
     assert np.abs(out - spec_m0).max() < 1e-10
@@ -95,7 +99,7 @@ def test_sigma_tracks_scalar_recursion_for_small_tau(small_spec):
     c, tau = 0.5, 1e-4
     spec = small_spec.with_fields(sigma_gamma=const(g, c))
     chi2 = const(g, 0.4)
-    out, _, _ = step_sigma(const(g, c), const(g, 0.3), const(g, 0.5), chi2, 2.0, tau, spec)
+    out, _ = step_sigma(const(g, c), const(g, 0.3), const(g, 0.5), chi2, 2.0, tau, spec)
     react = 0.4 * float(spec.S.value(0.3, 0.5)) - float(mdl.eval_K(0.3, c, 0.5, spec))
     assert np.abs(out - (c + tau * react)).max() < 1e-6
 
@@ -141,7 +145,7 @@ def test_damage_jacobian_matches_assembled_form(small_spec):
     for _ in range(2):
         diag = rng.uniform(0.5, 2.0, g.shape)
         ref = (sps.diags(g.quad_weights * diag.ravel()) - tau * g.wl_neumann).tocsr()
-        J = damage_jacobian(g, tau, diag)
+        J = damage_jacobian(small_spec, tau, diag)
         assert abs(J - ref).max() == 0.0
 
 
@@ -160,6 +164,42 @@ def test_elastic_assembly_is_not_repeated_per_step(monkeypatch):
     solve_adjoint(traj, CostWeights(), Targets.resting(sc.spec), sc.spec)
     # the interior pattern and the viscous operator, each at most once
     assert len(calls) <= 2
+
+
+def test_sweeps_share_one_linearization_and_direct_diffusion_solves(monkeypatch):
+    labels, coeff_calls = [], []
+    cg_orig, co_orig = linalg.cg_solve, linearized.assemble_coefficients
+
+    def cg_counted(*args, **kwargs):
+        labels.append(kwargs.get("label", "cg"))
+        return cg_orig(*args, **kwargs)
+
+    def co_counted(*args, **kwargs):
+        coeff_calls.append(1)
+        return co_orig(*args, **kwargs)
+
+    swap = {id(cg_orig): cg_counted, id(co_orig): co_counted}
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tumorctrl"):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in swap:
+                    monkeypatch.setattr(mod, attr, swap[id(value)])
+
+    sc = smooth_scenario(nx=8, n_steps=12)
+    traj = solve_state(sc.control, sc.spec)
+    solve_linearized(traj, sc.control, sc.spec)
+    assert len(coeff_calls) == 12
+    solve_adjoint(traj, CostWeights(), Targets.resting(sc.spec), sc.spec)
+    assert len(coeff_calls) == 24
+    # CG only where its preconditioner is inexact; diffusion solves are direct
+    assert set(labels) == {"u-step", "z-newton", "omega-step", "zeta-step", "v-step", "s-step"}
+
+    g, tau = sc.spec.grid, traj.tau
+    ops = step_operators(sc.spec, tau)
+    b = np.random.default_rng(2).standard_normal(g.n_nodes)
+    for wl, solve in ((g.wl_neumann, ops.solve_neumann), (g.wl_robin, ops.solve_robin)):
+        A = sps.diags(g.quad_weights) - tau * wl
+        assert np.linalg.norm(A @ solve(b) - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_u_one_step_manufactured_second_order():
