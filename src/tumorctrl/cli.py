@@ -8,9 +8,11 @@ Subcommands::
     separation       damage barrier radii and post-hoc containment
     hypothesis-check structural-condition sampling report
 
-Exit codes: 0 the run's acceptance predicate holds, 1 it fails,
-2 configuration error, 3 solver failure.  All randomness is seeded from
-the config, so repeated runs write identical files.
+Exit codes: 0 the run's acceptance predicate holds, 1 it fails (a
+SeparationError counts as failing), 2 configuration error, 3 solver
+failure (SolverError, or a DomainError from a nonlinearity evaluated
+outside its domain).  All randomness is seeded from the config, so
+repeated runs write identical files.
 """
 import argparse
 import sys
@@ -19,17 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import model as mdl
-from .adjoint import eval_cost, solve_adjoint
+from .adjoint import solve_adjoint
 from .config import load_config
-from .control import (
-    control_inner,
-    fd_directional,
-    optimize,
-    project_admissible,
-    reduced_gradient,
-    vi_residual,
-)
-from .errors import ConfigError, SeparationError, SolverError
+from .control import control_inner, fd_directional, optimize, reduced_gradient, vi_residual
+from .errors import ConfigError, DomainError, SeparationError, SolverError
 from .grid import ScalarField
 from .linearized import taylor_test
 from .presets import ode_rhs
@@ -74,11 +69,7 @@ def cmd_simulate(cfg, args):
         _oracle_preflight(cfg)
     if not _gate_passes(cfg):
         return EXIT_FAIL
-    try:
-        sb = mdl.separation_bounds(cfg.spec)
-    except SeparationError as e:
-        print(f"separation analysis failed ({e.condition}): {e}")
-        return EXIT_FAIL
+    sb = mdl.separation_bounds(cfg.spec)
 
     traj = solve_state(cfg.control0, cfg.spec)
     out = save_trajectory(traj, cfg.outdir, fmt=cfg.fmt, every=cfg.stride)
@@ -191,8 +182,9 @@ def cmd_gradient_check(cfg, args):
             slope = tt["slope"]
             print(f"taylor slope {slope:.4f} (remainders "
                   + ", ".join(f"{r:.3e}" for r in tt["remainder"]) + ")")
-
-        traj = solve_state(control0, spec)
+            traj = tt["base"]
+        else:
+            traj = solve_state(control0, spec)
         adj = solve_adjoint(traj, cfg.weights, targets, spec)
         grad = reduced_gradient(traj, adj, cfg.weights, spec)
         errs = []
@@ -228,8 +220,6 @@ def cmd_gradient_check(cfg, args):
 def cmd_optimize(cfg, args):
     if not _gate_passes(cfg):
         return EXIT_FAIL
-    start, _ = project_admissible(cfg.control0, cfg.admissible, cfg.spec.grid, cfg.spec.T)
-    j0, _ = eval_cost(solve_state(start, cfg.spec), cfg.weights, cfg.targets, cfg.spec)
     res = optimize(
         cfg.spec,
         cfg.weights,
@@ -250,31 +240,25 @@ def cmd_optimize(cfg, args):
         write(out / f"chi1_{n:05d}.{ext}", ScalarField(cfg.spec.grid, res.control.chi1[n]), n * tau)
         write(out / f"chi2_{n:05d}.{ext}", ScalarField(cfg.spec.grid, res.control.chi2[n]), n * tau)
 
-    vi = vi_residual(
-        res.control, cfg.spec, cfg.weights, cfg.targets, cfg.admissible, seed=cfg.seed
-    )
+    vi = vi_residual(res.control, res.gradient, cfg.spec, cfg.admissible, seed=cfg.seed)
     if res.converged:
         reason = "converged"
     elif res.iterations < cfg.max_iters:
         reason = "line search stalled"
     else:
         reason = "iteration limit"
-    print(f"cost {j0:.9e} -> {res.cost:.9e} in {res.iterations} iterations "
+    print(f"cost {res.initial_cost:.9e} -> {res.cost:.9e} in {res.iterations} iterations "
           f"(stationarity {res.stationarity:.3e}, {reason})")
     print(str(vi))
     print(f"wrote {out / 'history.csv'}")
 
-    ok = res.cost <= j0 + 1e-15 and vi.worst_pairing >= -1e-6 * vi.scale
+    ok = res.cost <= res.initial_cost + 1e-15 and vi.worst_pairing >= -1e-6 * vi.scale
     print("optimize: " + ("PASS" if ok else "FAIL"))
     return EXIT_PASS if ok else EXIT_FAIL
 
 
 def cmd_separation(cfg, args):
-    try:
-        sb = mdl.separation_bounds(cfg.spec)
-    except SeparationError as e:
-        print(f"separation analysis failed ({e.condition}): {e}")
-        return EXIT_FAIL
+    sb = mdl.separation_bounds(cfg.spec)
     print(f"source magnitude b = {sb.b:.6g}")
     print(f"barrier roots before widening: {sb.root_low:.5f} / {sb.root_high:.5f}")
     print(f"certified interval: [{sb.r_low:.6g}, {sb.r_high:.6g}]")
@@ -332,9 +316,12 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverError as e:
+    except (SolverError, DomainError) as e:
         print(f"solver error: {e}", file=sys.stderr)
         return EXIT_SOLVER
+    except SeparationError as e:
+        print(f"separation analysis failed ({e.condition}): {e}")
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -10,11 +10,14 @@ doses, but not in general: with the ball active on a non-constant dose
 the radial rescale can land farther from the input than the nearest
 admissible point.
 
-vi_residual probes the first-order optimality of a candidate from two
-independent routes: directional pairings against admissible probes and
-the fixed-point residual of the projection map.  Both are reported; a
-negative directional value beyond tolerance disproves optimality no
-matter what the projection residual says.
+optimize returns the reduced gradient at the control it returns, so a
+caller can certify the result without a further state or adjoint solve.
+vi_residual probes the first-order optimality of a candidate, given the
+reduced gradient at that candidate, from two independent routes:
+directional pairings against admissible probes and the fixed-point
+residual of the projection map.  Both are reported; a negative
+directional value beyond tolerance disproves optimality no matter what
+the projection residual says.
 """
 from dataclasses import dataclass, field
 from typing import Optional
@@ -121,12 +124,20 @@ def fd_directional(control: Control, direction: Control, weights, targets, spec,
 
 @dataclass
 class OptimizeResult:
+    """Returned control with its cost, trajectory and reduced gradient.
+
+    initial_cost is the cost at the projected start; gradient is the
+    reduced gradient at control, the input vi_residual certifies.
+    """
+
     control: Control
     cost: float
     parts: dict
     stationarity: float
     iterations: int
     converged: bool
+    initial_cost: float
+    gradient: Control
     history: list = field(default_factory=list)
     trajectory: Optional[StateTrajectory] = None
 
@@ -157,15 +168,18 @@ def optimize(
     current, _ = project_admissible(control0, adm, g, T)
     traj = solve_state(current, spec)
     cost, parts = eval_cost(traj, weights, targets, spec)
+    initial_cost = cost
     history = []
     lam = step0
     stat = np.inf
     converged = False
     it = 0
+    # the trajectory the current gradient was computed from
+    grad, grad_traj = None, None
 
     for it in range(1, max_iters + 1):
         adj = solve_adjoint(traj, weights, targets, spec)
-        grad = reduced_gradient(traj, adj, weights, spec)
+        grad, grad_traj = reduced_gradient(traj, adj, weights, spec), traj
 
         probe, _ = project_admissible(
             Control(current.chi1 - grad.chi1, current.chi2 - grad.chi2), adm, g, T
@@ -205,6 +219,10 @@ def optimize(
         history.append((it, cost, stat, lam, int(ball_active)))
         lam = min(2.0 * lam, step0)
 
+    # the loop's gradient is stale after an accepted last step, and
+    # missing when no iteration ran
+    if grad_traj is not traj:
+        grad = reduced_gradient(traj, solve_adjoint(traj, weights, targets, spec), weights, spec)
     return OptimizeResult(
         control=current,
         cost=cost,
@@ -212,6 +230,8 @@ def optimize(
         stationarity=stat,
         iterations=it,
         converged=converged,
+        initial_cost=initial_cost,
+        gradient=grad,
         history=history,
         trajectory=traj,
     )
@@ -240,27 +260,18 @@ class VIReport:
         )
 
 
-def vi_residual(
-    candidate: Control,
-    spec,
-    weights: CostWeights,
-    targets: Targets,
-    adm: AdmissibleSet,
-    n_random=8,
-    seed=0,
-):
+def vi_residual(candidate: Control, grad: Control, spec, adm: AdmissibleSet, n_random=8, seed=0):
     """Probe the variational inequality at a candidate minimizer.
 
-    Pairs the reduced gradient with admissible directions (box corners,
-    random admissible draws) and reports the most negative pairing; a
-    minimizer keeps every pairing nonnegative.  Also reports the
-    projection fixed-point residual as an independent route.
+    grad must be the reduced gradient at candidate, as
+    OptimizeResult.gradient is for OptimizeResult.control; no state or
+    adjoint is solved here.  Pairs it with admissible directions (box
+    corners, random admissible draws) and reports the most negative
+    pairing; a minimizer keeps every pairing nonnegative.  Also reports
+    the projection fixed-point residual as an independent route.
     """
     g = spec.grid
     T = spec.T
-    traj = solve_state(candidate, spec)
-    adj = solve_adjoint(traj, weights, targets, spec)
-    grad = reduced_gradient(traj, adj, weights, spec)
     K = candidate.n_steps
 
     probes = {}

@@ -240,4 +240,5 @@ def taylor_test(control: Control, direction: Control, spec, epsilons=None):
         slope = float(np.polyfit(np.log(epsilons[keep]), np.log(remainder[keep]), 1)[0])
     else:
         slope = 2.0
-    return {"epsilons": epsilons, "first_order": first, "remainder": remainder, "slope": slope}
+    return {"epsilons": epsilons, "first_order": first, "remainder": remainder, "slope": slope,
+            "base": base}

@@ -628,12 +628,12 @@ def separation_bounds(spec: ModelSpec) -> SeparationBounds:
     b = float(np.abs(spec.iota).max()) + spec.bounds.psi_max
 
     def G(r):
-        return float(beta(r, spec) + pi(r, spec))
+        return beta(r, spec) + pi(r, spec)
 
     floor = 1e-13
     t = np.geomspace(floor, 0.5, 600)
     rs = np.concatenate([t, 1.0 - t[-2::-1]])
-    vals = np.array([G(r) for r in rs])
+    vals = G(rs)
 
     lower = vals + b
     pos = np.nonzero(lower > 0.0)[0]
@@ -669,13 +669,13 @@ def separation_bounds(spec: ModelSpec) -> SeparationBounds:
         )
 
     check_lo = np.geomspace(floor, r_low, 1000)
-    if max(G(r) + b for r in check_lo) > 1e-8:
+    if (G(check_lo) + b).max() > 1e-8:
         raise SeparationError(
             "sign condition fails between the floor and the lower radius",
             condition="lower-sign-condition",
         )
     check_hi = 1.0 - np.geomspace(floor, 1.0 - r_high, 1000)
-    if min(G(r) - b for r in check_hi) < -1e-8:
+    if (G(check_hi) - b).min() < -1e-8:
         raise SeparationError(
             "sign condition fails between the upper radius and the ceiling",
             condition="upper-sign-condition",

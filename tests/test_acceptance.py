@@ -393,7 +393,7 @@ def test_optimizer(announce):
         Control.constant(spec.grid, 4, 0.5, 0.5),
         max_iters=200, tol=1e-12,
     )
-    vi = vi_residual(res1.control, spec, effort, tgz, adm)
+    vi = vi_residual(res1.control, res1.gradient, spec, adm)
 
     # unconstrained effort minimum has an exactly zero gradient, so also
     # certify a candidate pinned to an active box face, where the
@@ -404,7 +404,7 @@ def test_optimizer(announce):
         Control.constant(spec.grid, 4, 0.8, 0.8),
         max_iters=200, tol=1e-12,
     )
-    vi_face = vi_residual(res_face.control, spec, effort, tgz, boxed)
+    vi_face = vi_residual(res_face.control, res_face.gradient, spec, boxed)
 
     pair = synthetic_inverse_pair(nx=10, n_steps=12)
     w, tg = pair.extras["weights"], pair.extras["targets"]

@@ -1,8 +1,13 @@
 """End-to-end command line tests: exit codes, diagnostics, determinism."""
+import math
+import sys
+
 import numpy as np
 import pytest
 
+from tumorctrl import adjoint, cli, state
 from tumorctrl.cli import main
+from tumorctrl.errors import ConfigError, DomainError, SeparationError, SolverError
 from tumorctrl.snapshots import read_snapshot_csv
 
 ZERO_SCENARIO = """
@@ -142,6 +147,108 @@ def test_separation_infeasible_slope_names_condition(tmp_path, capsys):
     assert "lower-sign-condition" in capsys.readouterr().out
 
 
+# code promised in the README, the stream and the text of the message
+ERROR_EXITS = [
+    (ConfigError("bad key"), 2, "err", "config error: bad key"),
+    (SolverError("no convergence"), 3, "err", "solver error: no convergence"),
+    (DomainError("beta argument outside (0, 1)"), 3, "err", "solver error: beta argument"),
+    (SeparationError("no radius", condition="lower-sign-condition"), 1, "out",
+     "separation analysis failed (lower-sign-condition): no radius"),
+]
+
+
+@pytest.mark.parametrize("command", sorted(cli._DISPATCH))
+@pytest.mark.parametrize("error, code, stream, message", ERROR_EXITS,
+                         ids=[type(e[0]).__name__ for e in ERROR_EXITS])
+def test_error_classes_map_to_readme_exit_codes(tmp_path, capsys, monkeypatch,
+                                                command, error, code, stream, message):
+    def body(cfg, args):
+        raise error
+
+    monkeypatch.setitem(cli._DISPATCH, command, body)
+    cfg = write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n")
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert message in getattr(captured, stream)
+
+
+def record_calls(monkeypatch, *fns):
+    """Rebind fns in every tumorctrl module; returns one argument list per fn."""
+    logs = [[] for _ in fns]
+
+    def recorder(fn, log):
+        def wrapped(*args, **kwargs):
+            log.append(args)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    swap = {id(fn): recorder(fn, log) for fn, log in zip(fns, logs)}
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tumorctrl"):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in swap:
+                    monkeypatch.setattr(mod, attr, swap[id(value)])
+    return logs
+
+
+OPTIMIZE_SMALL = """
+[grid]
+nx = 8
+ny = 8
+[time]
+t_final = 0.5
+steps = 8
+[model]
+phi0 = gaussian:0.3,0.5,0.5,0.04
+[controls]
+chi1 = gaussian:0.3,0.5,0.5,0.1
+chi2 = const:0.2
+[cost]
+alpha1 = 1
+alpha2 = 1
+alpha6 = 0.3
+alpha7 = 1
+alpha9 = 0.1
+[admissible]
+chi1_high = 0.5
+chi2_high = 0.5
+c_ad = 0.1
+[optimizer]
+step0 = 50
+tol = 1e-4
+[run]
+seed = 3
+"""
+
+
+def test_optimize_solves_each_state_and_adjoint_once(tmp_path, capsys, monkeypatch):
+    states, adjoints = record_calls(monkeypatch, state.solve_state, adjoint.solve_adjoint)
+    cfg = write_cfg(tmp_path, OPTIMIZE_SMALL)
+    out = tmp_path / "out"
+    main(["optimize", "--config", cfg, "--out", str(out)])
+    assert "converged" in capsys.readouterr().out
+
+    # line-search trials from the history: each iteration halves from its
+    # entry step (step0, then twice the last accepted one) down to the step
+    # it accepted; the converged row tries none
+    rows = [line.split(",") for line in (out / "history.csv").read_text().split()[1:]]
+    step0, step_in, trials = 50.0, 50.0, 0
+    for row in rows:
+        lam = float(row[3])
+        if lam == 0.0:
+            break
+        trials += round(math.log2(step_in / lam)) + 1
+        step_in = min(2.0 * lam, step0)
+    assert trials > len(rows) - 1  # the run backtracks at least once
+    assert len(states) == 1 + trials
+    assert len(adjoints) == len(rows)
+    controls = [args[0].chi1.tobytes() + args[0].chi2.tobytes() for args in states]
+    assert len(set(controls)) == len(controls)
+    assert len({id(args[0]) for args in adjoints}) == len(adjoints)
+
+
 def test_gradient_check_small_config(tmp_path, capsys):
     text = """
 [grid]
@@ -165,6 +272,15 @@ seed = 5
     assert rc == 0
     assert "taylor slope" in out
     assert "PASS" in out
+
+
+def test_gradient_check_reuses_taylor_base_solve(tmp_path, capsys, monkeypatch):
+    (states,) = record_calls(monkeypatch, state.solve_state)
+    text = "[grid]\nnx = 6\nny = 6\n[time]\nsteps = 6\n[run]\nseed = 5\n"
+    main(["gradient-check", "--config", write_cfg(tmp_path, text)])
+    assert "level 0" in capsys.readouterr().out
+    # Taylor base plus 5 perturbed doses, then 3 central differences of 2
+    assert len(states) == 1 + 5 + 3 * 2
 
 
 def test_optimize_effort_only_hits_floor(tmp_path, capsys):

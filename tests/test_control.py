@@ -3,6 +3,7 @@ finite differences, projected descent, and the optimality probes."""
 import numpy as np
 import pytest
 
+from tumorctrl import control
 from tumorctrl.adjoint import CostWeights, Targets, eval_cost, solve_adjoint
 from tumorctrl.control import (
     AdmissibleSet,
@@ -157,7 +158,7 @@ def test_optimizer_settles_on_active_box_face():
     assert np.max(np.abs(res.control.chi1 - 0.1)) < 1e-12
     assert np.max(np.abs(res.control.chi2 - 0.1)) < 1e-12
 
-    vi = vi_residual(res.control, spec, effort_only(), Targets.zeros(spec.grid), adm)
+    vi = vi_residual(res.control, res.gradient, spec, adm)
     assert vi.worst_pairing >= -1e-9 * vi.scale
     assert vi.projection_residual < 1e-10
 
@@ -167,9 +168,45 @@ def test_vi_residual_flags_non_minimizer():
     spec = sc.spec
     adm = AdmissibleSet(0.1, 1.0, 0.1, 1.0)
     bad = Control.constant(spec.grid, 4, 1.0, 1.0)
-    vi = vi_residual(bad, spec, effort_only(), Targets.zeros(spec.grid), adm)
+    traj = solve_state(bad, spec)
+    adj = solve_adjoint(traj, effort_only(), Targets.zeros(spec.grid), spec)
+    vi = vi_residual(bad, reduced_gradient(traj, adj, effort_only(), spec), spec, adm)
     assert vi.worst_pairing < -0.5 * vi.scale
     assert vi.projection_residual > 0.1
+
+
+@pytest.mark.parametrize(
+    "exit_kind, options",
+    [
+        ("converged", dict(max_iters=30, tol=1e-4, step0=100.0)),
+        ("line search stalled", dict(max_iters=30, tol=0.0, step0=1000.0, max_backtracks=1)),
+        ("iteration limit", dict(max_iters=1, tol=0.0)),
+    ],
+)
+def test_optimize_returns_start_cost_and_final_gradient(monkeypatch, exit_kind, options):
+    sc = smooth_scenario(nx=6, n_steps=4)
+    spec, w, tg, adm = sc.spec, full_weights(), Targets.zeros(sc.spec.grid), AdmissibleSet()
+    adjoints = []
+
+    def counted(*args, **kwargs):
+        adjoints.append(1)
+        return solve_adjoint(*args, **kwargs)
+
+    monkeypatch.setattr(control, "solve_adjoint", counted)
+    res = optimize(spec, w, tg, adm, sc.control, **options)
+    kind = ("converged" if res.converged else
+            "line search stalled" if res.iterations < options["max_iters"] else "iteration limit")
+    assert kind == exit_kind
+    assert res.cost < res.initial_cost  # at least one step was accepted
+    # only the limit exit leaves the gradient one accepted step behind
+    assert len(adjoints) == res.iterations + (exit_kind == "iteration limit")
+
+    start, _ = project_admissible(sc.control, adm, spec.grid, spec.T)
+    assert res.initial_cost == eval_cost(solve_state(start, spec), w, tg, spec)[0]
+    traj = solve_state(res.control, spec)
+    grad = reduced_gradient(traj, solve_adjoint(traj, w, tg, spec), w, spec)
+    assert np.array_equal(res.gradient.chi1, grad.chi1)
+    assert np.array_equal(res.gradient.chi2, grad.chi2)
 
 
 @pytest.fixture(scope="module")

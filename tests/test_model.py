@@ -289,6 +289,22 @@ def test_separation_sign_conditions_resampled(spec):
     assert np.min(M.beta(hi, spec) + M.pi(hi, spec) - b) >= -1e-8
 
 
+@pytest.mark.parametrize("c2", [0.0, 0.7])
+def test_separation_array_scan_matches_scalar_loop(spec, c2):
+    # separation_bounds scans beta + pi as one array call; the scalar loop
+    # it replaced is the reference, equal bit for bit
+    sp = closed_form_spec(spec, c2=c2)
+    out = M.separation_bounds(sp)
+    t = np.geomspace(1e-13, 0.5, 600)
+    for rs in (
+        np.concatenate([t, 1.0 - t[-2::-1]]),
+        np.geomspace(1e-13, out.r_low, 1000),
+        1.0 - np.geomspace(1e-13, 1.0 - out.r_high, 1000),
+    ):
+        loop = np.array([float(M.beta(r, sp) + M.pi(r, sp)) for r in rs])
+        assert np.array_equal(M.beta(rs, sp) + M.pi(rs, sp), loop)
+
+
 def test_separation_zero_source_brackets_half(spec):
     sp = closed_form_spec(spec, c1=1.0, c2=0.0, iota=0.0, psi_max=0.0)
     out = M.separation_bounds(sp)
