@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .grid import tensor_dot
 from .linalg import cg_solve
 from .linearized import assemble_coefficients, dose_coefficients
-from .state import StateTrajectory, damage_jacobian, solve_u, step_operators, u_operator
+from .state import StateTrajectory, damage_jacobian, solve_u, step_operators, u_preconditioner
 
 
 _PART_NAMES = (
@@ -199,7 +198,7 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
 
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
-    precond = splu(u_operator(spec, traj.phi[K], traj.z[K - 1], tau).tocsc()).solve
+    precond = u_preconditioner(spec, tau)
 
     for m in range(K, 0, -1):
         ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], traj.eps_u[m]

@@ -1,17 +1,35 @@
-"""Conjugate gradient kernel for the implicit substeps without an exact factor.
+"""Sparse kernels for the implicit substeps: one factorization, one CG.
 
 All implicit operators in this package are assembled in quadrature-weighted
 form, which makes them symmetric positive definite in the ordinary dot
-product.  The scalar diffusion solves have a fixed matrix per time step
-and go straight to its cached LU factor; this CG routine serves the
-solves whose preconditioner is only approximate: the displacement
-substeps and the damage Newton steps, in all three sweeps.
+product.  factorize serves every sparse factor: the two scalar diffusion
+systems of each time step, whose LU solves are exact, and the displacement
+preconditioner.  cg_solve serves the solves whose preconditioner is only
+approximate: the displacement (u) substeps and the damage (z) Newton
+steps, in all three sweeps.
 """
 import math
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .errors import SolverError
+
+
+def factorize(A):
+    """Sparse LU of an SPD matrix A; returns its solve callable.
+
+    A symmetric fill-reducing ordering (minimum degree on A^T + A) and
+    diagonal pivots keep the factors symmetric in structure, and SPD
+    matrices need no pivoting.
+    """
+    lu = splu(
+        A.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return lu.solve
 
 
 def cg_solve(A, b, x0=None, rtol=1e-10, maxiter=None, label="cg", precond=None):

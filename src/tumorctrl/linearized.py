@@ -16,9 +16,9 @@ tangent and adjoint sweeps both take their coefficients from it.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from . import model as mdl
+from .errors import DomainError
 from .grid import stress_from_strain, tensor_dot
 from .state import (
     Control,
@@ -27,7 +27,7 @@ from .state import (
     solve_state,
     solve_u,
     step_operators,
-    u_operator,
+    u_preconditioner,
 )
 from .linalg import cg_solve
 
@@ -56,14 +56,21 @@ class LinearizedCoefficients:
     d3: np.ndarray
 
     def validate(self):
+        """Raise DomainError naming the first non-finite node of a field.
+
+        A finite sum implies finite entries, so only a field whose sum is
+        not finite (a bad entry, or an overflow) pays the locating scan.
+        """
         for name in ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4", "c1", "c2", "d1", "d2", "d3"):
             arr = getattr(self, name)
+            if np.isfinite(arr.sum()):
+                continue
             bad = ~np.isfinite(arr)
             if bad.any():
                 node = tuple(
                     int(v) for v in np.unravel_index(int(np.flatnonzero(bad)[0]), arr.shape)
                 )
-                raise ValueError(f"coefficient {name} non-finite at node {node}")
+                raise DomainError(f"coefficient {name} non-finite at node {node}")
         return self
 
 
@@ -155,7 +162,7 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
 
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
-    precond = splu(u_operator(spec, traj.phi[1], traj.z[0], tau).tocsc()).solve
+    precond = u_preconditioner(spec, tau)
 
     for n in range(K):
         co = assemble_coefficients(

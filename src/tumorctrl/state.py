@@ -19,11 +19,10 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.sparse.linalg import splu
 
 from . import model as mdl
 from .errors import SeparationError, SolverError
-from .linalg import cg_solve
+from .linalg import cg_solve, factorize
 from .snapshots import write_manifest, write_snapshot_bin, write_snapshot_csv
 
 
@@ -108,12 +107,12 @@ class StateTrajectory:
 class StepOperators:
     """Fixed operators of one time step, shared by all three sweeps.
 
-    solve_neumann and solve_robin are LU solves of the implicit diffusion
-    systems W - tau*wl (no-flux and Robin boundaries); the no-flux one
-    also preconditions the damage Jacobians, which only add a positive
-    diagonal.  laplacian is -tau*wl_neumann in canonical CSR with
-    diag_slots the data slots of its diagonal; viscous is K_A / tau on
-    all vector nodes.
+    solve_neumann and solve_robin are the factorize solves of the implicit
+    diffusion systems W - tau*wl (no-flux and Robin boundaries), exact up
+    to rounding; the no-flux one also preconditions the damage Jacobians,
+    which only add a positive diagonal.  laplacian is -tau*wl_neumann in
+    canonical CSR with diag_slots the data slots of its diagonal; viscous
+    is K_A / tau on all vector nodes.
     """
 
     solve_neumann: Callable
@@ -130,8 +129,8 @@ def _step_operators(grid, tau, a_mu, a_lam):
     lap.sort_indices()
     rows = np.repeat(np.arange(grid.n_nodes), np.diff(lap.indptr))
     return StepOperators(
-        solve_neumann=splu((w - tau * grid.wl_neumann).tocsc()).solve,
-        solve_robin=splu((w - tau * grid.wl_robin).tocsc()).solve,
+        solve_neumann=factorize(w - tau * grid.wl_neumann),
+        solve_robin=factorize(w - tau * grid.wl_robin),
         laplacian=lap,
         diag_slots=np.flatnonzero(lap.indices == rows),
         viscous=grid.elastic_matrix(a_mu, a_lam) / tau,
@@ -168,6 +167,26 @@ def u_operator(spec, phi, z, tau):
     return spec.grid.interior_elastic_matrix(mu_b + spec.A_mu / tau, lam_b + spec.A_lam / tau)
 
 
+@lru_cache(maxsize=16)
+def _u_preconditioner(grid, mu, lam):
+    return factorize(grid.interior_elastic_matrix(mu, lam))
+
+
+def u_preconditioner(spec, tau):
+    """Shared preconditioner of every displacement substep at step tau.
+
+    The cached factor of the interior elastic block at the constant moduli
+    A/tau + <B(phi0, z0)>, with <.> the quadrature-weighted domain mean.
+    Both it and each step's u_operator are Lame forms on the same mesh, so
+    the CG condition number is bounded by the ratio of their moduli,
+    independent of the mesh width, and A/tau dominates the elastic part.
+    """
+    g = spec.grid
+    mean = lambda f: float(np.average(np.broadcast_to(f, g.shape).ravel(), weights=g.quad_weights))
+    mu_b, lam_b = mdl.eval_B(spec.phi0, spec.z0, spec)
+    return _u_preconditioner(g, spec.A_mu / tau + mean(mu_b), spec.A_lam / tau + mean(lam_b))
+
+
 def step_phi(phi, sigma, z, chi1, tau, spec):
     """Implicit diffusion, explicit reaction; clamp to [0, N] with a log."""
     g = spec.grid
@@ -193,16 +212,14 @@ def solve_u(u_old, load, phi, z, tau, spec, precond, label):
     """One displacement-type substep on Dirichlet-zero interior nodes.
 
     Solves (K_A/tau + K_B(phi, z)) u_new = K_A/tau u_old + load by CG
-    warm-started at u_old; precond None factorizes the operator itself.
-    Returns (u_new, sym_grad(u_new), iterations).
+    warm-started at u_old, preconditioned by precond, in the sweeps the
+    shared u_preconditioner.  Returns (u_new, sym_grad(u_new), iterations).
     """
     g = spec.grid
     idx = g.interior_vector_indices
     M_int = u_operator(spec, phi, z, tau)
     old = u_old.reshape(2, -1).ravel()
     rhs = (step_operators(spec, tau).viscous @ old + load)[idx]
-    if precond is None:
-        precond = splu(M_int.tocsc()).solve
     sol, iters = cg_solve(M_int, rhs, x0=old[idx], label=label, precond=precond)
     full = np.zeros(2 * g.n_nodes)
     full[idx] = sol
@@ -211,7 +228,12 @@ def solve_u(u_old, load, phi, z, tau, spec, precond, label):
 
 
 def step_u(u, phi_new, z, f, tau, spec, precond=None):
-    """Quasi-static viscoelastic update on Dirichlet-zero displacements."""
+    """Quasi-static viscoelastic update on Dirichlet-zero displacements.
+
+    precond defaults to u_preconditioner(spec, tau).
+    """
+    if precond is None:
+        precond = u_preconditioner(spec, tau)
     load = spec.grid.vector_weights * f.reshape(2, -1).ravel()
     return solve_u(u, load, phi_new, z, tau, spec, precond, "u-step")
 
@@ -309,7 +331,7 @@ def solve_state(control: Control, spec, grid=None, n_steps=None) -> StateTraject
         z_excess=0.0,
     )
 
-    precond = splu(u_operator(spec, spec.phi0, spec.z0, tau).tocsc()).solve
+    precond = u_preconditioner(spec, tau)
 
     for n in range(K):
         phi[n + 1], d.phi_clamp[n] = step_phi(phi[n], sigma[n], z[n], control.chi1[n], tau, spec)

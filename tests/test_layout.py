@@ -1,4 +1,5 @@
-"""Source hygiene: package modules reach each other only by public names."""
+"""Source hygiene: package modules reach each other only by public names,
+and every sparse factor goes through linalg.factorize."""
 import ast
 from pathlib import Path
 
@@ -18,3 +19,17 @@ def test_no_private_cross_module_imports():
                 if internal and alias.name.startswith("_")
             ]
     assert not offenders, "private names imported across modules:\n" + "\n".join(offenders)
+
+
+def test_only_linalg_factorizes():
+    offenders = []
+    for path in sorted(Path(tumorctrl.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            names += [node.id] if isinstance(node, ast.Name) else []
+            names += [node.attr] if isinstance(node, ast.Attribute) else []
+            if "splu" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, "splu outside linalg.factorize:\n" + "\n".join(offenders)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tumorctrl import model as mdl
+from tumorctrl.errors import DomainError
 from tumorctrl.grid import Grid, stress_from_strain
 from tumorctrl.linearized import (
     assemble_coefficients,
@@ -92,6 +93,14 @@ def test_coefficients_match_finite_differences(spec):
 
         barrier = lambda v: float(mdl.beta(v, spec) + mdl.pi(v, spec))
         assert rel(co.d3[j, i], -central(barrier, zz, min(h, 0.1 * zz * (1 - zz)))) < 1e-5
+
+
+def test_non_finite_coefficient_is_a_domain_error(spec):
+    phi, sigma, z, eps, chi1, chi2 = random_fields(spec)
+    chi2 = chi2.copy()
+    chi2[4, 1] = np.nan
+    with pytest.raises(DomainError, match=r"coefficient b1 non-finite at node \(4, 1\)"):
+        assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec)
 
 
 def test_coefficient_validation_names_bad_node(spec):

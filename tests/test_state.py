@@ -23,6 +23,7 @@ from tumorctrl.state import (
     step_u,
     step_z,
     u_operator,
+    u_preconditioner,
 )
 
 
@@ -164,6 +165,28 @@ def test_elastic_assembly_is_not_repeated_per_step(monkeypatch):
     solve_adjoint(traj, CostWeights(), Targets.resting(sc.spec), sc.spec)
     # the interior pattern and the viscous operator, each at most once
     assert len(calls) <= 2
+
+
+def test_sweeps_share_three_factorizations(monkeypatch):
+    calls = []
+    original = linalg.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", counted)
+    # a step no other test uses, so every cached factor starts cold
+    sc = smooth_scenario(nx=8, n_steps=12, T=0.37)
+    traj = solve_state(sc.control, sc.spec)
+    solve_linearized(traj, sc.control, sc.spec)
+    solve_adjoint(traj, CostWeights(), Targets.resting(sc.spec), sc.spec)
+    # the two diffusion systems and the shared displacement preconditioner
+    assert len(calls) == 3
+
+
+def test_u_preconditioner_is_cached(small_spec):
+    assert u_preconditioner(small_spec, 0.02) is u_preconditioner(small_spec, 0.02)
 
 
 def test_sweeps_share_one_linearization_and_direct_diffusion_solves(monkeypatch):
