@@ -11,12 +11,12 @@ each node propagates into the objective; duality_residual measures how
 closely that transfer matches the tangent solver, which is the committed
 discretization gap of the gradient (first order in the step).
 """
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .grid import tensor_dot
+from .grid import tensor_dot, trapezoid_weights
 from .linalg import cg_solve
 from .linearized import assemble_coefficients, dose_coefficients
 from .state import StateTrajectory, damage_jacobian, solve_u, step_operators, u_preconditioner
@@ -50,19 +50,7 @@ class CostWeights:
     alpha9: float = 1e-3
 
     def as_array(self):
-        return np.array(
-            [
-                self.alpha1,
-                self.alpha2,
-                self.alpha3,
-                self.alpha4,
-                self.alpha5,
-                self.alpha6,
-                self.alpha7,
-                self.alpha8,
-                self.alpha9,
-            ]
-        )
+        return np.array(astuple(self))
 
     def validate(self):
         a = self.as_array()
@@ -110,13 +98,6 @@ class Targets:
         return self
 
 
-def time_weights(n_steps, tau):
-    """Trapezoid weights over the time nodes 0..K."""
-    w = np.full(n_steps + 1, tau)
-    w[0] = w[-1] = tau / 2.0
-    return w
-
-
 def eval_cost(traj: StateTrajectory, weights: CostWeights, targets: Targets, spec):
     """Evaluate the objective along a trajectory; returns (total, parts)."""
     weights.validate()
@@ -125,27 +106,25 @@ def eval_cost(traj: StateTrajectory, weights: CostWeights, targets: Targets, spe
     if traj.control is None:
         raise ValueError("trajectory carries no control")
     a = weights.as_array()
-    tw = time_weights(traj.n_steps, traj.tau)
+    tw = traj.tau * trapezoid_weights(traj.n_steps)
 
     def run_quad(values):
-        return float(np.dot(tw, values))
+        return float(tw @ g.integrate_levels(values))
 
     sq = lambda f: g.inner(f, f)
     phi_T, sigma_T, z_T = traj.phi[-1], traj.sigma[-1], traj.z[-1]
-    gam = np.array([g.integrate(spec.gamma.value(traj.phi[n]) * tensor_dot(traj.eps_u[n], traj.eps_u[n]))
-                    for n in range(traj.n_steps + 1)])
+    eps = np.moveaxis(traj.eps_u, 1, 0)
+    chi1, chi2 = traj.control.chi1, traj.control.chi2
     parts = {
-        "phi-tracking": 0.5 * a[0] * run_quad([sq(traj.phi[n] - targets.phi_track) for n in range(traj.n_steps + 1)]),
+        "phi-tracking": 0.5 * a[0] * run_quad((traj.phi - targets.phi_track) ** 2),
         "phi-final-tracking": 0.5 * a[1] * sq(phi_T - targets.phi_final),
         "phi-final-mass": a[2] * g.integrate(phi_T),
-        "sigma-tracking": 0.5 * a[3] * run_quad([sq(traj.sigma[n] - targets.sigma_track) for n in range(traj.n_steps + 1)]),
+        "sigma-tracking": 0.5 * a[3] * run_quad((traj.sigma - targets.sigma_track) ** 2),
         "sigma-final-tracking": 0.5 * a[4] * sq(sigma_T - targets.sigma_final),
-        "strain-burden": 0.5 * a[5] * run_quad(gam),
-        "z-tracking": 0.5 * a[6] * run_quad([sq(traj.z[n] - targets.z_track) for n in range(traj.n_steps + 1)]),
+        "strain-burden": 0.5 * a[5] * run_quad(spec.gamma.value(traj.phi) * tensor_dot(eps, eps)),
+        "z-tracking": 0.5 * a[6] * run_quad((traj.z - targets.z_track) ** 2),
         "z-final-mass": a[7] * g.integrate(z_T),
-        "dose-effort": 0.5 * a[8] * run_quad(
-            [sq(traj.control.chi1[n]) + sq(traj.control.chi2[n]) for n in range(traj.n_steps + 1)]
-        ),
+        "dose-effort": 0.5 * a[8] * run_quad(chi1 * chi1 + chi2 * chi2),
     }
     return sum(parts.values()), parts
 
@@ -240,34 +219,26 @@ def duality_residual(traj, lin, adj, direction, weights: CostWeights, targets: T
     g = traj.grid
     a = weights.as_array()
     K = traj.n_steps
-    tw = time_weights(K, traj.tau)
+    tw = traj.tau * trapezoid_weights(K)
+    eps = np.moveaxis(traj.eps_u, 1, 0)
 
-    lhs = 0.0
-    for n in range(K + 1):
-        a4, b4 = dose_coefficients(traj.phi[n], traj.z[n], spec)
-        lhs += tw[n] * (
-            g.inner(a4 * direction.chi1[n], adj.q[n]) + g.inner(b4 * direction.chi2[n], adj.r[n])
-        )
+    a4, b4 = dose_coefficients(traj.phi, traj.z, spec)
+    lhs = float(tw @ g.integrate_levels(a4 * direction.chi1 * adj.q + b4 * direction.chi2 * adj.r))
 
+    running = (
+        a[0] * (traj.phi - targets.phi_track) * lin.xi
+        + a[3] * (traj.sigma - targets.sigma_track) * lin.rho
+        + a[6] * (traj.z - targets.z_track) * lin.zeta
+        + 0.5 * a[5] * spec.gamma.d(traj.phi) * tensor_dot(eps, eps) * lin.xi
+        + a[5] * spec.gamma.value(traj.phi) * tensor_dot(eps, np.moveaxis(lin.eps_omega, 1, 0))
+    )
     rhs = (
         a[1] * g.inner(traj.phi[K] - targets.phi_final, lin.xi[K])
         + a[2] * g.integrate(lin.xi[K])
         + a[4] * g.inner(traj.sigma[K] - targets.sigma_final, lin.rho[K])
         + a[7] * g.integrate(lin.zeta[K])
+        + float(tw @ g.integrate_levels(running))
     )
-    for n in range(K + 1):
-        running = (
-            a[0] * g.inner(traj.phi[n] - targets.phi_track, lin.xi[n])
-            + a[3] * g.inner(traj.sigma[n] - targets.sigma_track, lin.rho[n])
-            + a[6] * g.inner(traj.z[n] - targets.z_track, lin.zeta[n])
-            + 0.5 * a[5] * g.integrate(
-                spec.gamma.d(traj.phi[n]) * tensor_dot(traj.eps_u[n], traj.eps_u[n]) * lin.xi[n]
-            )
-            + a[5] * g.integrate(
-                spec.gamma.value(traj.phi[n]) * tensor_dot(traj.eps_u[n], lin.eps_omega[n])
-            )
-        )
-        rhs += tw[n] * running
     gap = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1e-30)
     return {"lhs": lhs, "rhs": rhs, "gap": gap, "rel": gap / scale}

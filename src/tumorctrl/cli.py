@@ -65,6 +65,7 @@ def _gate_passes(cfg):
 
 
 def cmd_simulate(cfg, args):
+    """forward solve, snapshots, invariant report"""
     if args.oracle:
         _oracle_preflight(cfg)
     if not _gate_passes(cfg):
@@ -146,18 +147,16 @@ def _ode_oracle_report(cfg, traj):
         rtol=1e-11,
         atol=1e-13,
     )
-    err = 0.0
-    for n in range(traj.n_steps + 1):
-        err = max(
-            err,
-            float(np.abs(traj.phi[n] - sol.y[0, n]).max()),
-            float(np.abs(traj.z[n] - sol.y[1, n]).max()),
-        )
+    err = max(
+        float(np.abs(traj.phi - sol.y[0, :, None, None]).max()),
+        float(np.abs(traj.z - sol.y[1, :, None, None]).max()),
+    )
     print(f"pointwise oracle: sup error {err:.6e} over {traj.n_steps + 1} time levels "
           f"(step {traj.tau:.3e})")
 
 
 def cmd_gradient_check(cfg, args):
+    """tangent slope test plus adjoint-vs-difference table"""
     if not _gate_passes(cfg):
         return EXIT_FAIL
     levels = 1 + max(0, args.refine)
@@ -218,6 +217,7 @@ def cmd_gradient_check(cfg, args):
 
 
 def cmd_optimize(cfg, args):
+    """projected descent, history CSV, optimality report"""
     if not _gate_passes(cfg):
         return EXIT_FAIL
     res = optimize(
@@ -258,6 +258,7 @@ def cmd_optimize(cfg, args):
 
 
 def cmd_separation(cfg, args):
+    """damage barrier radii and post-hoc containment"""
     sb = mdl.separation_bounds(cfg.spec)
     print(f"source magnitude b = {sb.b:.6g}")
     print(f"barrier roots before widening: {sb.root_low:.5f} / {sb.root_high:.5f}")
@@ -273,6 +274,7 @@ def cmd_separation(cfg, args):
 
 
 def cmd_hypothesis_check(cfg, args):
+    """structural-condition sampling report"""
     report = _hypothesis_report(cfg)
     print(report)
     return EXIT_PASS if report.ok else EXIT_FAIL

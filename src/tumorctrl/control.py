@@ -30,8 +30,8 @@ from .adjoint import (
     Targets,
     eval_cost,
     solve_adjoint,
-    time_weights,
 )
+from .grid import trapezoid_weights
 from .linearized import dose_coefficients
 from .state import Control, StateTrajectory, solve_state
 
@@ -56,13 +56,8 @@ class AdmissibleSet:
 
 def control_inner(a: Control, b: Control, grid, T):
     """Space-time inner product of dose pairs, trapezoid in time."""
-    tw = time_weights(a.n_steps, T / a.n_steps)
-    total = 0.0
-    for n in range(a.n_steps + 1):
-        total += tw[n] * (
-            grid.inner(a.chi1[n], b.chi1[n]) + grid.inner(a.chi2[n], b.chi2[n])
-        )
-    return total
+    tw = (T / a.n_steps) * trapezoid_weights(a.n_steps)
+    return float(tw @ grid.integrate_levels(a.chi1 * b.chi1 + a.chi2 * b.chi2))
 
 
 def control_norm(a: Control, grid, T):
@@ -72,9 +67,9 @@ def control_norm(a: Control, grid, T):
 def smoothness_norm(chi1, grid, T):
     """Time-quadrature of the spatial first-order norm of one dose."""
     K = chi1.shape[0] - 1
-    tw = time_weights(K, T / K)
-    total = sum(tw[n] * grid.norm_h1(chi1[n]) ** 2 for n in range(K + 1))
-    return float(np.sqrt(max(total, 0.0)))
+    tw = (T / K) * trapezoid_weights(K)
+    gx, gy = grid.grad(chi1)
+    return float(np.sqrt(tw @ grid.integrate_levels(chi1 * chi1 + gx * gx + gy * gy)))
 
 
 def project_admissible(control: Control, adm: AdmissibleSet, grid, T):
@@ -103,14 +98,8 @@ def reduced_gradient(traj: StateTrajectory, adj: AdjointTrajectory, weights: Cos
     field with the supply map; both add the weighted dose itself.
     """
     a9 = weights.alpha9
-    K = traj.n_steps
-    g1 = np.empty_like(traj.control.chi1)
-    g2 = np.empty_like(traj.control.chi2)
-    for n in range(K + 1):
-        a4, b4 = dose_coefficients(traj.phi[n], traj.z[n], spec)
-        g1[n] = a4 * adj.q[n] + a9 * traj.control.chi1[n]
-        g2[n] = b4 * adj.r[n] + a9 * traj.control.chi2[n]
-    return Control(g1, g2)
+    a4, b4 = dose_coefficients(traj.phi, traj.z, spec)
+    return Control(a4 * adj.q + a9 * traj.control.chi1, b4 * adj.r + a9 * traj.control.chi2)
 
 
 def fd_directional(control: Control, direction: Control, weights, targets, spec, eps=1e-4):

@@ -220,6 +220,12 @@ class Grid:
             raise ValueError(f"field shape {f.shape} does not match grid {want}")
         return f
 
+    def _check_levels(self, f):
+        f = np.asarray(f, dtype=float)
+        if f.shape[-2:] != self.shape:
+            raise ValueError(f"field shape {f.shape} does not end in grid {self.shape}")
+        return f
+
     def laplacian_neumann(self, f):
         f = self._check(f)
         return (self.lap_neumann_matrix @ f.ravel()).reshape(self.shape)
@@ -238,10 +244,10 @@ class Grid:
         return self.robin_linear(f) + self.robin_source(datum)
 
     def grad(self, f):
-        f = self._check(f)
-        gx = (self._dx @ f.ravel()).reshape(self.shape)
-        gy = (self._dy @ f.ravel()).reshape(self.shape)
-        return np.stack([gx, gy])
+        """(gx, gy) on a new leading axis, of f or of each level of a stack f."""
+        f = self._check_levels(f)
+        flat = f.reshape(-1, self.n_nodes).T
+        return np.stack([(d @ flat).T for d in (self._dx, self._dy)]).reshape((2,) + f.shape)
 
     def sym_grad(self, u):
         u = self._check(u, comps=2)
@@ -351,6 +357,14 @@ class Grid:
         f = self._check(f)
         return float(self.quad_weights @ f.ravel())
 
+    def integrate_levels(self, f):
+        """Quadrature of each (ny+1, nx+1) level of f; shape f.shape[:-2].
+
+        f is a stack (..., ny+1, nx+1), such as one field per time level.
+        """
+        f = self._check_levels(f)
+        return f.reshape(f.shape[:-2] + (self.n_nodes,)) @ self.quad_weights
+
     def inner(self, a, b):
         a = self._check(a)
         b = self._check(b)
@@ -358,10 +372,6 @@ class Grid:
 
     def norm_l2(self, f):
         return float(np.sqrt(max(self.inner(f, f), 0.0)))
-
-    def norm_h1(self, f):
-        g = self.grad(f)
-        return float(np.sqrt(self.inner(f, f) + self.inner_vec(g, g)))
 
     def inner_vec(self, a, b):
         a = self._check(a, comps=2)
@@ -373,11 +383,8 @@ class Grid:
 
     def norm_h1_vec(self, u):
         u = self._check(u, comps=2)
-        val = self.inner_vec(u, u)
-        for c in range(2):
-            g = self.grad(u[c])
-            val += self.inner_vec(g, g)
-        return float(np.sqrt(max(val, 0.0)))
+        gx, gy = self.grad(u)
+        return float(np.sqrt(self.integrate_levels(u * u + gx * gx + gy * gy).sum()))
 
     def inner_tensor(self, a, b):
         a = self._check(a, comps=3)

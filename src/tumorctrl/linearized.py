@@ -13,7 +13,7 @@ thirteen per-node fields, one for each way a perturbation of (tumor,
 lactate, damage, displacement, doses) enters the four equations; the
 tangent and adjoint sweeps both take their coefficients from it.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class LinearizedCoefficients:
         A finite sum implies finite entries, so only a field whose sum is
         not finite (a bad entry, or an overflow) pays the locating scan.
         """
-        for name in ("a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4", "c1", "c2", "d1", "d2", "d3"):
-            arr = getattr(self, name)
+        for f in fields(self):
+            name, arr = f.name, getattr(self, f.name)
             if np.isfinite(arr.sum()):
                 continue
             bad = ~np.isfinite(arr)
@@ -197,23 +197,16 @@ def trajectory_distance(a: StateTrajectory, b, lin: LinearizedTrajectory = None,
     Taylor remainder when scale is the perturbation size.
     """
     g = a.grid
-    d = 0.0
-    for n in range(a.n_steps + 1):
-        if lin is None:
-            dphi = b.phi[n] - a.phi[n]
-            dsig = b.sigma[n] - a.sigma[n]
-            dz = b.z[n] - a.z[n]
-            du = b.u[n] - a.u[n]
-        else:
-            dphi = b.phi[n] - a.phi[n] - scale * lin.xi[n]
-            dsig = b.sigma[n] - a.sigma[n] - scale * lin.rho[n]
-            dz = b.z[n] - a.z[n] - scale * lin.zeta[n]
-            du = b.u[n] - a.u[n] - scale * lin.omega[n]
-        d = max(
-            d,
-            g.norm_l2(dphi) + g.norm_l2(dsig) + g.norm_l2(dz) + g.norm_h1_vec(du),
-        )
-    return d
+    dphi, dsig, dz, du = b.phi - a.phi, b.sigma - a.sigma, b.z - a.z, b.u - a.u
+    if lin is not None:
+        dphi = dphi - scale * lin.xi
+        dsig = dsig - scale * lin.rho
+        dz = dz - scale * lin.zeta
+        du = du - scale * lin.omega
+    gx, gy = g.grad(du)
+    h1 = np.sqrt(g.integrate_levels(du * du + gx * gx + gy * gy).sum(axis=-1))
+    l2 = lambda f: np.sqrt(g.integrate_levels(f * f))
+    return float((l2(dphi) + l2(dsig) + l2(dz) + h1).max())
 
 
 def taylor_test(control: Control, direction: Control, spec, epsilons=None):

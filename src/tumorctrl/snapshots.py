@@ -14,6 +14,7 @@ import numpy as np
 from .grid import Grid, ScalarField
 
 _MAGIC = b"TCF1"
+_HEADER = struct.Struct("<IIddd")
 _FMT = "%.17g"
 
 
@@ -51,7 +52,7 @@ def write_snapshot_bin(path, field, t=0.0):
     g = field.grid
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IIddd", g.nx, g.ny, g.hx, g.hy, t))
+        fh.write(_HEADER.pack(g.nx, g.ny, g.hx, g.hy, t))
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
@@ -60,7 +61,10 @@ def read_snapshot_bin(path):
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        nx, ny, hx, hy, t = struct.unpack("<IIddd", fh.read(8 + 24))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        nx, ny, hx, hy, t = _HEADER.unpack(header)
         count = (nx + 1) * (ny + 1)
         data = np.frombuffer(fh.read(count * 8), dtype="<f8")
         if data.size != count:

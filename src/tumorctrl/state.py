@@ -342,12 +342,8 @@ def solve_state(control: Control, spec, grid=None, n_steps=None) -> StateTraject
             u[n], phi[n + 1], z[n], spec.f, tau, spec, precond=precond
         )
         z[n + 1], d.newton_iters[n] = step_z(z[n], phi[n + 1], eps_u[n + 1], tau, spec)
-        if window is not None:
-            d.z_excess = max(
-                d.z_excess,
-                float(window[0] - z[n + 1].min()),
-                float(z[n + 1].max() - window[1]),
-            )
+    if window is not None:
+        d.z_excess = max(0.0, float(window[0] - z[1:].min()), float(z[1:].max() - window[1]))
 
     return StateTrajectory(
         grid=g,

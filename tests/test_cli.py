@@ -110,6 +110,29 @@ def test_missing_config_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_truncated_binary_snapshot_is_config_error(tmp_path, capsys):
+    (tmp_path / "phi0.tcf").write_bytes(b"TCF1" + bytes(10))
+    cfg = write_cfg(tmp_path, "[model]\nphi0 = file:phi0.tcf\n")
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "truncated header" in capsys.readouterr().err
+
+
+def test_help_describes_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for name, text in (
+        ("simulate", "forward solve, snapshots, invariant report"),
+        ("gradient-check", "tangent slope test plus adjoint-vs-difference table"),
+        ("optimize", "projected descent, history CSV, optimality report"),
+        ("separation", "damage barrier radii and post-hoc containment"),
+        ("hypothesis-check", "structural-condition sampling report"),
+    ):
+        assert f"{name} {text}" in out
+
+
 def test_infeasible_box_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[admissible]\nchi1_low = 0.9\nchi1_high = 0.1\n")
     rc = main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
