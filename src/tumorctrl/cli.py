@@ -70,7 +70,7 @@ def cmd_simulate(cfg, args):
         _oracle_preflight(cfg)
     if not _gate_passes(cfg):
         return EXIT_FAIL
-    sb = mdl.separation_bounds(cfg.spec)
+    sb = cfg.spec.separation
 
     traj = solve_state(cfg.control0, cfg.spec)
     out = save_trajectory(traj, cfg.outdir, fmt=cfg.fmt, every=cfg.stride)
@@ -259,7 +259,7 @@ def cmd_optimize(cfg, args):
 
 def cmd_separation(cfg, args):
     """damage barrier radii and post-hoc containment"""
-    sb = mdl.separation_bounds(cfg.spec)
+    sb = cfg.spec.separation
     print(f"source magnitude b = {sb.b:.6g}")
     print(f"barrier roots before widening: {sb.root_low:.5f} / {sb.root_high:.5f}")
     print(f"certified interval: [{sb.r_low:.6g}, {sb.r_high:.6g}]")

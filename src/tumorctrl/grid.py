@@ -23,6 +23,7 @@ Design notes that the rest of the package relies on:
 """
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sps
@@ -68,6 +69,28 @@ def _lap1_neumann(n, h):
     cols += [n - 1, n]
     vals += [2.0 / h**2, -2.0 / h**2]
     return sps.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
+
+
+class Axis(NamedTuple):
+    """1D factors of one grid axis, from which every 2D scalar operator is built.
+
+    weights are the cell size times the trapezoid weights, coeff is 2/h on
+    the two end nodes (the Robin ghost elimination's diagonal), neumann is
+    the ghost-reflected Laplacian and robin = neumann - diag(coeff).
+    diag(weights) times either Laplacian is symmetric.
+    """
+
+    weights: np.ndarray
+    coeff: np.ndarray
+    neumann: sps.csr_matrix
+    robin: sps.csr_matrix
+
+
+def _axis(n, h):
+    lap = _lap1_neumann(n, h)
+    coeff = np.zeros(n + 1)
+    coeff[0] = coeff[-1] = 2.0 / h
+    return Axis(h * trapezoid_weights(n), coeff, lap, (lap - sps.diags(coeff)).tocsr())
 
 
 @dataclass(frozen=True)
@@ -125,10 +148,24 @@ class Grid:
         return np.meshgrid(self.xs, self.ys)
 
     @cached_property
+    def axes(self):
+        """(y, x) Axis factors, slowest axis first like the [j, i] arrays.
+
+        The quadrature weights are their outer product and the Laplacians
+        and the Robin coefficient their Kronecker sums, which makes every
+        implicit diffusion operator separable.
+        """
+        return _axis(self.ny, self.hy), _axis(self.nx, self.hx)
+
+    def _kron_sum(self, ay, ax):
+        """kron(I, ax) + kron(ay, I) on the [j, i]-flattened nodes."""
+        return (sps.kron(sps.eye(self.ny + 1), ax) + sps.kron(ay, sps.eye(self.nx + 1))).tocsr()
+
+    @cached_property
     def quad_weights(self):
         """Flattened trapezoid quadrature weights, including hx*hy."""
-        w = np.outer(trapezoid_weights(self.ny), trapezoid_weights(self.nx))
-        return (self.hx * self.hy) * w.ravel()
+        y, x = self.axes
+        return np.outer(y.weights, x.weights).ravel()
 
     @cached_property
     def boundary_mask(self):
@@ -155,9 +192,8 @@ class Grid:
 
     @cached_property
     def lap_neumann_matrix(self):
-        lx = sps.kron(sps.eye(self.ny + 1), _lap1_neumann(self.nx, self.hx))
-        ly = sps.kron(_lap1_neumann(self.ny, self.hy), sps.eye(self.nx + 1))
-        return (lx + ly).tocsr()
+        y, x = self.axes
+        return self._kron_sum(y.neumann, x.neumann)
 
     @cached_property
     def robin_coeff(self):
@@ -166,25 +202,18 @@ class Grid:
         Flattened array equal to 2/hx on x-boundary nodes plus 2/hy on
         y-boundary nodes (corners pick up both contributions).
         """
-        c = np.zeros(self.shape)
-        c[:, 0] += 2.0 / self.hx
-        c[:, -1] += 2.0 / self.hx
-        c[0, :] += 2.0 / self.hy
-        c[-1, :] += 2.0 / self.hy
-        return c.ravel()
+        y, x = self.axes
+        return np.add.outer(y.coeff, x.coeff).ravel()
 
     @cached_property
     def robin_linear_matrix(self):
-        return (self.lap_neumann_matrix - sps.diags(self.robin_coeff)).tocsr()
+        y, x = self.axes
+        return self._kron_sum(y.robin, x.robin)
 
     @cached_property
     def wl_neumann(self):
         """Quadrature-weighted Neumann Laplacian; symmetric by construction."""
         return (sps.diags(self.quad_weights) @ self.lap_neumann_matrix).tocsr()
-
-    @cached_property
-    def wl_robin(self):
-        return (sps.diags(self.quad_weights) @ self.robin_linear_matrix).tocsr()
 
     @cached_property
     def sym_grad_matrix(self):
@@ -377,9 +406,6 @@ class Grid:
         a = self._check(a, comps=2)
         b = self._check(b, comps=2)
         return float(self.vector_weights @ (a.ravel() * b.ravel()))
-
-    def norm_l2_vec(self, u):
-        return float(np.sqrt(max(self.inner_vec(u, u), 0.0)))
 
     def norm_h1_vec(self, u):
         u = self._check(u, comps=2)

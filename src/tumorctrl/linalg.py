@@ -1,19 +1,50 @@
-"""Sparse kernels for the implicit substeps: one factorization, one CG.
+"""Dense and sparse kernels for the implicit substeps.
 
 All implicit operators in this package are assembled in quadrature-weighted
 form, which makes them symmetric positive definite in the ordinary dot
-product.  factorize serves every sparse factor: the two scalar diffusion
-systems of each time step, whose LU solves are exact, and the displacement
-preconditioner.  cg_solve serves the solves whose preconditioner is only
-approximate: the displacement (u) substeps and the damage (z) Newton
-steps, in all three sweeps.
+product.  Each kind of solve has one kernel here:
+
+* separable_solver solves the scalar diffusion systems W - tau*W*L of each
+  time step exactly by fast diagonalization, because on the tensor grid L
+  is a Kronecker sum of 1D operators.  The same solve preconditions the
+  damage Jacobians, which only add a positive diagonal.
+* factorize is the sparse LU of the displacement preconditioner.
+* cg_solve serves the solves whose preconditioner is only approximate: the
+  displacement (u) substeps and the damage (z) Newton steps, in all three
+  sweeps.
 """
 import math
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
+
+
+def separable_solver(axes, tau):
+    """Exact solve of W - tau*W*(Ay (+) Ax); returns its solve callable.
+
+    axes holds one (weights, operator) pair per array axis, slowest first,
+    with W = diag(wy) (x) diag(wx), (+) the Kronecker sum and each
+    diag(w) A symmetric.  The 1D generalized eigenproblems
+    -diag(w) A Q = diag(w) Q diag(lam), normalized to Q^T diag(w) Q = I,
+    diagonalize the whole operator:
+
+        (W - tau*W*L)^{-1} = (Qy (x) Qx) diag(1 / (1 + tau*(lam_y (+) lam_x))) (Qy (x) Qx)^T
+
+    so a solve is four dense products of one-axis size (fast
+    diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).  The
+    solve takes and returns flattened vectors.
+    """
+    (ly, qy), (lx, qx) = (eigh(-(w[:, None] * a.toarray()), np.diag(w)) for w, a in axes)
+    scale = 1.0 / (1.0 + tau * np.add.outer(ly, lx))
+
+    def solve(b):
+        y = qy.T @ b.reshape(scale.shape) @ qx
+        return (qy @ (y * scale) @ qx.T).ravel()
+
+    return solve
 
 
 def factorize(A):

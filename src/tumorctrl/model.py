@@ -19,6 +19,7 @@ grids and reports the worst witness per condition, so a custom model can
 be validated numerically instead of by inspection.
 """
 from dataclasses import dataclass, replace
+from functools import cached_property
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -134,6 +135,25 @@ class ModelSpec:
 
     def with_fields(self, **kw) -> "ModelSpec":
         return replace(self, **kw)
+
+    @cached_property
+    def _separation(self):
+        try:
+            return separation_bounds(self), None
+        except SeparationError as err:
+            return None, err
+
+    @property
+    def separation(self) -> "SeparationBounds":
+        """separation_bounds(self), computed once per spec object.
+
+        A spec without a separation interval raises its SeparationError on
+        every access.
+        """
+        bounds, err = self._separation
+        if err is not None:
+            raise err
+        return bounds
 
 
 # -- pointwise formulas ------------------------------------------------------

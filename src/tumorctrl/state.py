@@ -22,7 +22,7 @@ import scipy.sparse as sps
 
 from . import model as mdl
 from .errors import SeparationError, SolverError
-from .linalg import cg_solve, factorize
+from .linalg import cg_solve, factorize, separable_solver
 from .snapshots import write_manifest, write_snapshot_bin, write_snapshot_csv
 
 
@@ -107,12 +107,13 @@ class StateTrajectory:
 class StepOperators:
     """Fixed operators of one time step, shared by all three sweeps.
 
-    solve_neumann and solve_robin are the factorize solves of the implicit
-    diffusion systems W - tau*wl (no-flux and Robin boundaries), exact up
-    to rounding; the no-flux one also preconditions the damage Jacobians,
-    which only add a positive diagonal.  laplacian is -tau*wl_neumann in
-    canonical CSR with diag_slots the data slots of its diagonal; viscous
-    is K_A / tau on all vector nodes.
+    solve_neumann and solve_robin are the separable_solver solves of the
+    implicit diffusion systems W - tau*wl (no-flux and Robin boundaries),
+    exact up to rounding because both Laplacians are Kronecker sums of the
+    grid's 1D axis factors; the no-flux one also preconditions the damage
+    Jacobians, which only add a positive diagonal.  laplacian is
+    -tau*wl_neumann in canonical CSR with diag_slots the data slots of its
+    diagonal; viscous is K_A / tau on all vector nodes.
     """
 
     solve_neumann: Callable
@@ -124,13 +125,13 @@ class StepOperators:
 
 @lru_cache(maxsize=16)
 def _step_operators(grid, tau, a_mu, a_lam):
-    w = sps.diags(grid.quad_weights)
     lap = (-tau * grid.wl_neumann).tocsr()
     lap.sort_indices()
     rows = np.repeat(np.arange(grid.n_nodes), np.diff(lap.indptr))
+    y, x = grid.axes
     return StepOperators(
-        solve_neumann=factorize(w - tau * grid.wl_neumann),
-        solve_robin=factorize(w - tau * grid.wl_robin),
+        solve_neumann=separable_solver(((y.weights, y.neumann), (x.weights, x.neumann)), tau),
+        solve_robin=separable_solver(((y.weights, y.robin), (x.weights, x.robin)), tau),
         laplacian=lap,
         diag_slots=np.flatnonzero(lap.indices == rows),
         viscous=grid.elastic_matrix(a_mu, a_lam) / tau,
@@ -315,7 +316,7 @@ def solve_state(control: Control, spec, grid=None, n_steps=None) -> StateTraject
 
     cap = sigma_cap_for(spec, control)
     try:
-        sep = mdl.separation_bounds(spec)
+        sep = spec.separation
         window = (sep.r_low, sep.r_high)
     except SeparationError:
         window = None

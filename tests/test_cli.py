@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from tumorctrl import adjoint, cli, state
+from tumorctrl import adjoint, cli, model, state
 from tumorctrl.cli import main
 from tumorctrl.errors import ConfigError, DomainError, SeparationError, SolverError
 from tumorctrl.snapshots import read_snapshot_csv
@@ -270,6 +270,15 @@ def test_optimize_solves_each_state_and_adjoint_once(tmp_path, capsys, monkeypat
     controls = [args[0].chi1.tobytes() + args[0].chi2.tobytes() for args in states]
     assert len(set(controls)) == len(controls)
     assert len({id(args[0]) for args in adjoints}) == len(adjoints)
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_separation_bounds_computed_once_per_run(tmp_path, capsys, monkeypatch, command):
+    (calls,) = record_calls(monkeypatch, model.separation_bounds)
+    cfg = write_cfg(tmp_path, OPTIMIZE_SMALL)
+    main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert f"{command}: " in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_gradient_check_small_config(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Source hygiene: package modules reach each other only by public names,
-and every sparse factor goes through linalg.factorize."""
+and every factorization (sparse LU or eigendecomposition) stays in linalg."""
 import ast
 from pathlib import Path
 
@@ -30,6 +30,5 @@ def test_only_linalg_factorizes():
             names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
             names += [node.id] if isinstance(node, ast.Name) else []
             names += [node.attr] if isinstance(node, ast.Attribute) else []
-            if "splu" in names:
-                offenders.append(f"{path.name}:{node.lineno}")
-    assert not offenders, "splu outside linalg.factorize:\n" + "\n".join(offenders)
+            offenders += [f"{path.name}:{node.lineno}: {n}" for n in names if n in ("splu", "eigh")]
+    assert not offenders, "factorization outside linalg:\n" + "\n".join(offenders)

@@ -167,7 +167,7 @@ def test_elastic_assembly_is_not_repeated_per_step(monkeypatch):
     assert len(calls) <= 2
 
 
-def test_sweeps_share_three_factorizations(monkeypatch):
+def test_sweeps_share_one_factorization(monkeypatch):
     calls = []
     original = linalg.splu
 
@@ -181,8 +181,8 @@ def test_sweeps_share_three_factorizations(monkeypatch):
     traj = solve_state(sc.control, sc.spec)
     solve_linearized(traj, sc.control, sc.spec)
     solve_adjoint(traj, CostWeights(), Targets.resting(sc.spec), sc.spec)
-    # the two diffusion systems and the shared displacement preconditioner
-    assert len(calls) == 3
+    # only the shared displacement preconditioner; diffusion solves are separable
+    assert len(calls) == 1
 
 
 def test_u_preconditioner_is_cached(small_spec):
@@ -220,8 +220,9 @@ def test_sweeps_share_one_linearization_and_direct_diffusion_solves(monkeypatch)
     g, tau = sc.spec.grid, traj.tau
     ops = step_operators(sc.spec, tau)
     b = np.random.default_rng(2).standard_normal(g.n_nodes)
-    for wl, solve in ((g.wl_neumann, ops.solve_neumann), (g.wl_robin, ops.solve_robin)):
-        A = sps.diags(g.quad_weights) - tau * wl
+    pairs = ((g.lap_neumann_matrix, ops.solve_neumann), (g.robin_linear_matrix, ops.solve_robin))
+    for lap, solve in pairs:
+        A = sps.diags(g.quad_weights) @ (sps.eye(g.n_nodes) - tau * lap)
         assert np.linalg.norm(A @ solve(b) - b) <= 1e-12 * np.linalg.norm(b)
 
 
