@@ -24,7 +24,7 @@ resolution (`at_scale`), used by the refinement studies; snapshot-file
 fields cannot be rescaled and reject that path.
 """
 import configparser
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 from pathlib import Path
 from typing import Optional
 
@@ -38,42 +38,9 @@ from .model import DefaultLogisticFamily, ModelSpec, constant_map
 from .snapshots import read_snapshot_bin, read_snapshot_csv
 from .state import Control
 
+# every float parameter of the family, keyed by its lower-cased name
 _FAMILY_KEYS = {
-    "n": "N",
-    "eta_p": "eta_p",
-    "c_p": "c_p",
-    "eta_g": "eta_g",
-    "c_g": "c_g",
-    "a_k": "a_k",
-    "eta_k": "eta_k",
-    "c_k": "c_k",
-    "eta_s": "eta_S",
-    "c_s": "c_S",
-    "d_k": "d_k",
-    "a_b": "a_B",
-    "b_b": "b_B",
-    "c_b": "c_B",
-    "a_psi": "a_psi",
-    "b_psi": "b_psi",
-    "eta_gamma": "eta_gamma",
-    "p_star": "p_star",
-    "g_star": "g_star",
-    "k1_star": "k1_star",
-    "k2_star": "k2_star",
-    "k2_low": "k2_low",
-    "s_star": "S_star",
-    "psi_max": "psi_max",
-    "mu_min": "mu_min",
-    "mu_max": "mu_max",
-    "lam_min": "lam_min",
-    "lam_max": "lam_max",
-    "gamma_max": "gamma_max",
-    "a_mu": "A_mu",
-    "a_lam": "A_lam",
-    "c1": "C1",
-    "c2": "C2",
-    "m0": "M0",
-    "iota_const": "iota_const",
+    f.name.lower(): f.name for f in fields(DefaultLogisticFamily) if f.name not in ("T", "k2_variable")
 }
 
 _CONST_KINETICS = ("k1_const", "k2_const", "s_const")

@@ -296,89 +296,37 @@ class Grid:
         v[:, self.boundary_mask] = 0.0
         return v
 
-    def _moduli(self, mu, lam):
-        """Nodal (2 mu + lam, lam, 2 mu), the three entries of C."""
-        mu = np.broadcast_to(np.asarray(mu, dtype=float), self.shape).ravel()
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), self.shape).ravel()
-        return 2.0 * mu + lam, lam, 2.0 * mu
-
     def elastic_matrix(self, mu, lam):
         """Assembled operator for u -> -div(2 mu eps(u) + lam tr(eps(u)) I).
 
         Returns the quadrature-weighted form G^T W_t C G over all nodes,
-        boundary rows and columns included.  The solvers use its interior
-        block, which interior_elastic_matrix assembles directly.
+        boundary rows and columns included.  The solvers apply its interior
+        block matrix-free through interior_elastic_operator.
         """
-        d0, d1, d2 = (sps.diags(d) for d in self._moduli(mu, lam))
+        mu = np.broadcast_to(np.asarray(mu, dtype=float), self.shape).ravel()
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), self.shape).ravel()
+        # the three entries (2 mu + lam, lam, 2 mu) of C
+        d0, d1, d2 = (sps.diags(d) for d in (2.0 * mu + lam, lam, 2.0 * mu))
         c = sps.bmat([[d0, d1, None], [d1, d0, None], [None, None, d2]])
         return (self.sym_grad_weighted_transpose @ (c @ self.sym_grad_matrix)).tocsr()
 
     @cached_property
-    def _interior_elastic_map(self):
-        """Fixed pattern of the interior elastic block and the map onto its data.
-
-        The block is linear in the nodal moduli (2 mu + lam, lam, 2 mu), so
-        its data array is P @ concat(2 mu + lam, lam, 2 mu) for a sparse
-        (nnz, 3N) map P, stored by columns.  Row k of strain blocks a and b
-        adds the weighted outer product of their nonzeros to the column of
-        node k and the modulus coupling a and b; the data positions come
-        from the pattern of one elastic_matrix call.
-        """
-        n = self.n_nodes
+    def _interior_sym_grad(self):
+        """sym_grad_matrix on the interior dofs and the matching rows of G^T W_t."""
         idx = self.interior_vector_indices
-        m = len(idx)
-        pattern = self.elastic_matrix(1.0, 1.0)[idx][:, idx]
-        pattern.sort_indices()
-        indices, indptr = pattern.indices, pattern.indptr
-        del pattern  # only its structure is kept
-        # entry (i, j) of the block, searchable as the sorted key i*m + j
-        keys = np.repeat(np.arange(m, dtype=np.int64) * m, np.diff(indptr)) + indices
-        interior = np.full(2 * n, -1)
-        interior[idx] = np.arange(m)
+        return self.sym_grad_matrix[:, idx].tocsr(), self.sym_grad_weighted_transpose[idx].tocsr()
 
-        # every strain row has a fixed stencil: 2 entries in e11 and e22, 4 in e12;
-        # per row, the interior numbers of its dofs (-1 on the boundary) and values
-        g = self.sym_grad_matrix
-        w = self.tensor_weights
-        rows = []
-        for a in range(3):
-            block = g[a * n : (a + 1) * n]
-            rows.append((interior[block.indices].reshape(n, -1), block.data.reshape(n, -1)))
-        # strain block pairs (a, b) that each modulus couples in C
-        couples = (((0, 0), (1, 1)), ((0, 1), (1, 0)), ((2, 2),))
-        entries, values, counts = [], [], []
-        for pairs in couples:
-            key, val = [], []
-            for a, b in pairs:
-                (ca, va), (cb, vb) = rows[a], rows[b]
-                i, j = ca[:, :, None], cb[:, None, :]
-                key.append(np.where((i >= 0) & (j >= 0), i * m + j, -1).reshape(n, -1))
-                wa = w[a * n : (a + 1) * n, None, None]
-                val.append((wa * va[:, :, None] * vb[:, None, :]).reshape(n, -1))
-            key, val = np.hstack(key), np.hstack(val)
-            hit = key >= 0
-            # row-major selection keeps the contributions grouped by node k
-            entries.append(np.searchsorted(keys, key[hit]).astype(indices.dtype))
-            values.append(val[hit])
-            counts.append(hit.sum(axis=1))
-        del keys
-        colptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))]).astype(indices.dtype)
-        p = sps.csc_matrix(
-            (np.concatenate(values), np.concatenate(entries), colptr), shape=(len(indices), 3 * n)
-        )
-        return p, indices, indptr
+    def interior_elastic_operator(self, mu, lam):
+        """Matvec of the interior block of elastic_matrix(mu, lam).
 
-    def interior_elastic_matrix(self, mu, lam):
-        """Interior block of elastic_matrix(mu, lam), as a CSR matrix.
-
-        Equal to elastic_matrix(mu, lam)[idx][:, idx] with idx the interior
-        dofs, assembled as one sparse product on the fixed pattern.  Every
-        result shares the pattern's index arrays: do not edit them in place.
+        Applies x -> G_int^T W_t C G_int x on the interior dofs as two
+        stencil products around the nodal stress, so the block is never
+        assembled.  Equal to elastic_matrix(mu, lam)[idx][:, idx] @ x up to
+        rounding, with idx the interior dofs.
         """
-        p, indices, indptr = self._interior_elastic_map
-        data = p @ np.concatenate(self._moduli(mu, lam))
-        m = len(indptr) - 1
-        return sps.csr_matrix((data, indices, indptr), shape=(m, m))
+        g_int, gtw_int = self._interior_sym_grad
+        shape = (3,) + self.shape
+        return lambda x: gtw_int @ stress_from_strain(mu, lam, (g_int @ x).reshape(shape)).ravel()
 
     # -- quadrature and norms ------------------------------------------------
 

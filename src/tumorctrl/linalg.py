@@ -1,8 +1,8 @@
 """Dense and sparse kernels for the implicit substeps.
 
-All implicit operators in this package are assembled in quadrature-weighted
-form, which makes them symmetric positive definite in the ordinary dot
-product.  Each kind of solve has one kernel here:
+All implicit operators in this package are in quadrature-weighted form,
+which makes them symmetric positive definite in the ordinary dot product.
+Each kind of solve has one kernel here:
 
 * separable_solver solves the scalar diffusion systems W - tau*W*L of each
   time step exactly by fast diagonalization, because on the tensor grid L
@@ -11,7 +11,8 @@ product.  Each kind of solve has one kernel here:
 * factorize is the sparse LU of the displacement preconditioner.
 * cg_solve serves the solves whose preconditioner is only approximate: the
   displacement (u) substeps and the damage (z) Newton steps, in all three
-  sweeps.
+  sweeps.  Their operators change every step, so they are applied
+  matrix-free as stencil products and never assembled.
 """
 import math
 
@@ -64,11 +65,11 @@ def factorize(A):
 
 
 def cg_solve(A, b, x0=None, rtol=1e-10, maxiter=None, label="cg", precond=None):
-    """Solve A x = b for symmetric positive definite A.
+    """Solve A x = b for a symmetric positive definite operator A.
 
     Parameters
     ----------
-    A : scipy sparse matrix or object with a matvec-compatible ``@``
+    A : callable returning the product A @ x of a vector x
     b : right-hand side vector
     x0 : optional warm start
     rtol : convergence threshold on ||r|| / ||b||
@@ -87,7 +88,7 @@ def cg_solve(A, b, x0=None, rtol=1e-10, maxiter=None, label="cg", precond=None):
     if maxiter is None:
         maxiter = int(math.ceil(10.0 * math.sqrt(b.size)))
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - A @ x
+    r = b - A(x)
     resid = np.linalg.norm(r)
     if resid <= rtol * bnorm:
         return x, 0
@@ -96,7 +97,7 @@ def cg_solve(A, b, x0=None, rtol=1e-10, maxiter=None, label="cg", precond=None):
     rz = float(r @ z)
     history = [resid / bnorm]
     for k in range(1, maxiter + 1):
-        Ap = A @ p
+        Ap = A(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise SolverError(

@@ -143,7 +143,7 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
     strain, and the damage tangent is implicit in its own slope.
     """
     g = spec.grid
-    direction.validate()
+    direction.validate(g)
     K = traj.n_steps
     if direction.n_steps != K:
         raise ValueError("direction defined on a different number of steps")

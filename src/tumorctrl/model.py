@@ -69,15 +69,11 @@ class PsiMap:
 
     `d_eps` returns tensor components paired through tensor_dot, so
     tensor_dot(d_eps, delta) is the directional derivative in delta.
-    The second-derivative blocks follow the same pairing.
     """
 
     value: Callable
     d_phi: Callable
     d_eps: Callable
-    d2_phi_phi: Callable
-    d2_phi_eps: Callable
-    d2_eps_action: Callable
 
 
 @dataclass(frozen=True)
@@ -189,13 +185,6 @@ def beta_prime(r, spec: ModelSpec):
     return spec.C1 / (r * (1.0 - r))
 
 
-def beta_second(r, spec: ModelSpec):
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0) or np.any(r >= 1.0):
-        raise DomainError("beta argument outside (0, 1)")
-    return spec.C1 * (2.0 * r - 1.0) / (r * (1.0 - r)) ** 2
-
-
 def pi(r, spec: ModelSpec):
     return -2.0 * spec.C2 * np.asarray(r, dtype=float)
 
@@ -211,10 +200,6 @@ def eval_B(phi, z, spec: ModelSpec):
 
 def eval_Psi(phi, eps, spec: ModelSpec):
     return spec.psi.value(phi, eps)
-
-
-def psi_gradient(phi, eps, spec: ModelSpec):
-    return spec.psi.d_phi(phi, eps), spec.psi.d_eps(phi, eps)
 
 
 # -- default instantiation ---------------------------------------------------
@@ -293,25 +278,7 @@ class DefaultLogisticFamily:
             # paired via tensor_dot: the shear slot carries its factor 2 there
             return P * sech2(phi, eps) * 2.0 * b * eps
 
-        def d2_phi_phi(phi, eps):
-            t = np.tanh(arg(phi, eps))
-            return P * (-2.0 * t * (1.0 - t * t)) * (a / N) ** 2
-
-        def d2_phi_eps(phi, eps):
-            t = np.tanh(arg(phi, eps))
-            return P * (-2.0 * t * (1.0 - t * t)) * (a / N) * 2.0 * b * eps
-
-        def d2_eps_action(phi, eps, delta):
-            from .grid import tensor_dot
-
-            t = np.tanh(arg(phi, eps))
-            s2 = 1.0 - t * t
-            return P * (
-                (-2.0 * t * s2) * (2.0 * b) ** 2 * tensor_dot(eps, delta) * eps
-                + s2 * 2.0 * b * delta
-            )
-
-        return PsiMap(value, d_phi, d_eps, d2_phi_phi, d2_phi_eps, d2_eps_action)
+        return PsiMap(value, d_phi, d_eps)
 
     def gamma_map(self) -> GammaMap:
         G, e, N = self.gamma_max, self.eta_gamma, self.N

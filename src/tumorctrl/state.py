@@ -47,9 +47,14 @@ class Control:
         shape = (n_steps + 1,) + grid.shape
         return cls(np.full(shape, float(c1)), np.full(shape, float(c2)))
 
-    def validate(self):
+    def validate(self, grid=None):
+        """Check shapes and finiteness, and with grid given its node shape."""
         if self.chi1.shape != self.chi2.shape or self.chi1.ndim != 3:
             raise ValueError("control components need matching (K+1, ny+1, nx+1) shapes")
+        if grid is not None and self.chi1.shape[1:] != grid.shape:
+            raise ValueError(
+                f"control is defined on nodes {self.chi1.shape[1:]}, the grid has {grid.shape}"
+            )
         if not (np.all(np.isfinite(self.chi1)) and np.all(np.isfinite(self.chi2))):
             raise ValueError("control contains non-finite entries")
         return self
@@ -112,28 +117,24 @@ class StepOperators:
     exact up to rounding because both Laplacians are Kronecker sums of the
     grid's 1D axis factors; the no-flux one also preconditions the damage
     Jacobians, which only add a positive diagonal.  laplacian is
-    -tau*wl_neumann in canonical CSR with diag_slots the data slots of its
-    diagonal; viscous is K_A / tau on all vector nodes.
+    -tau*wl_neumann, the fixed part of every damage Jacobian; viscous is
+    K_A / tau on all vector nodes.  The state-dependent displacement and
+    damage operators are applied matrix-free and never assembled.
     """
 
     solve_neumann: Callable
     solve_robin: Callable
     laplacian: sps.csr_matrix
-    diag_slots: np.ndarray
     viscous: sps.spmatrix
 
 
 @lru_cache(maxsize=16)
 def _step_operators(grid, tau, a_mu, a_lam):
-    lap = (-tau * grid.wl_neumann).tocsr()
-    lap.sort_indices()
-    rows = np.repeat(np.arange(grid.n_nodes), np.diff(lap.indptr))
     y, x = grid.axes
     return StepOperators(
         solve_neumann=separable_solver(((y.weights, y.neumann), (x.weights, x.neumann)), tau),
         solve_robin=separable_solver(((y.weights, y.robin), (x.weights, x.robin)), tau),
-        laplacian=lap,
-        diag_slots=np.flatnonzero(lap.indices == rows),
+        laplacian=-tau * grid.wl_neumann,
         viscous=grid.elastic_matrix(a_mu, a_lam) / tau,
     )
 
@@ -144,33 +145,32 @@ def step_operators(spec, tau):
 
 
 def damage_jacobian(spec, tau, diag):
-    """Weighted damage Jacobian diag(w*diag) - tau*wl_neumann.
+    """Matvec of the weighted damage Jacobian diag(w*diag) - tau*wl_neumann.
 
-    Written on the cached pattern of the Laplacian part, whose diagonal is
-    stored, so a new diagonal costs one copy of its data array.  Every
-    result shares that pattern's index arrays: do not edit them in place.
+    Applied matrix-free as the weighted diagonal plus the cached Laplacian
+    part, on flattened vectors; nothing is assembled per call.
     """
-    ops = step_operators(spec, tau)
-    base = ops.laplacian
-    data = base.data.copy()
-    data[ops.diag_slots] += spec.grid.quad_weights * diag.ravel()
-    return sps.csr_matrix((data, base.indices, base.indptr), shape=base.shape)
+    wd = spec.grid.quad_weights * diag.ravel()
+    lap = step_operators(spec, tau).laplacian
+    return lambda v: wd * v + lap @ v
 
 
 def u_operator(spec, phi, z, tau):
-    """SPD interior block of the displacement substep's weighted operator.
+    """Matvec of the SPD interior block of the displacement substep's operator.
 
     Viscous part over tau plus the state-dependent elastic part, restricted
-    to interior degrees of freedom.  Both parts are elastic operators, so
-    their sum is the elastic operator at the summed moduli.
+    to interior degrees of freedom and applied matrix-free.  Both parts are
+    elastic operators, so their sum is the elastic operator at the summed
+    moduli.
     """
     mu_b, lam_b = mdl.eval_B(phi, z, spec)
-    return spec.grid.interior_elastic_matrix(mu_b + spec.A_mu / tau, lam_b + spec.A_lam / tau)
+    return spec.grid.interior_elastic_operator(mu_b + spec.A_mu / tau, lam_b + spec.A_lam / tau)
 
 
 @lru_cache(maxsize=16)
 def _u_preconditioner(grid, mu, lam):
-    return factorize(grid.interior_elastic_matrix(mu, lam))
+    idx = grid.interior_vector_indices
+    return factorize(grid.elastic_matrix(mu, lam)[idx][:, idx])
 
 
 def u_preconditioner(spec, tau):
@@ -292,15 +292,11 @@ def sigma_cap_for(spec, control) -> float:
     return max(spec.M0, float(spec.sigma0.max())) + spec.T * drive * spec.bounds.S_star
 
 
-def solve_state(control: Control, spec, grid=None, n_steps=None) -> StateTrajectory:
+def solve_state(control: Control, spec) -> StateTrajectory:
     """March the four-field system from the initial data to time T."""
-    g = spec.grid if grid is None else grid
-    if g != spec.grid:
-        raise ValueError("grid does not match the one the model was built on")
-    control.validate()
-    K = control.n_steps if n_steps is None else int(n_steps)
-    if control.n_steps != K:
-        raise ValueError("control defined on a different number of steps")
+    g = spec.grid
+    control.validate(g)
+    K = control.n_steps
     tau = spec.T / K
     shape = g.shape
 

@@ -185,6 +185,13 @@ def test_mismatched_direction_rejected(small_run):
         solve_linearized(traj, Control.zeros(sc.spec.grid, sc.n_steps + 2), sc.spec)
 
 
+def test_direction_on_another_grid_rejected(small_run):
+    sc, traj = small_run
+    other = Control.zeros(Grid.unit(10, 10), sc.n_steps)
+    with pytest.raises(ValueError, match=r"nodes \(11, 11\), the grid has \(9, 9\)"):
+        solve_linearized(traj, other, sc.spec)
+
+
 def test_taylor_test_rejects_zero_direction(spec):
     control = Control.zeros(spec.grid, 4)
     with pytest.raises(ValueError, match="nonzero"):
