@@ -22,15 +22,7 @@ from .control import (
     vi_residual,
 )
 from .errors import ConfigError, DomainError, SeparationError, SolverError
-from .grid import (
-    Grid,
-    ScalarField,
-    SymTensorField,
-    VectorField,
-    stress_from_strain,
-    tensor_dot,
-    trapezoid_weights,
-)
+from .grid import Grid, ScalarField, stress_from_strain, tensor_dot, trapezoid_weights
 from .linearized import solve_linearized, taylor_test
 from .model import (
     DefaultLogisticFamily,
@@ -57,10 +49,8 @@ __all__ = [
     "SeparationError",
     "SolverError",
     "StateTrajectory",
-    "SymTensorField",
     "Targets",
     "VIReport",
-    "VectorField",
     "check_hypotheses",
     "control_inner",
     "control_norm",

@@ -17,9 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .grid import tensor_dot, trapezoid_weights
-from .linalg import cg_solve
 from .linearized import assemble_coefficients, dose_coefficients
-from .state import StateTrajectory, damage_jacobian, solve_u, step_operators, u_preconditioner
+from .state import StateTrajectory, step_operators
 
 
 _PART_NAMES = (
@@ -163,7 +162,6 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
     a = weights.as_array()
     K = traj.n_steps
     tau = traj.tau
-    w = g.quad_weights
     shape = g.shape
 
     q = np.zeros((K + 1,) + shape)
@@ -177,7 +175,6 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
 
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
-    precond = u_preconditioner(spec, tau)
 
     for m in range(K, 0, -1):
         ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], traj.eps_u[m]
@@ -191,20 +188,16 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
             + a[0] * (ph - targets.phi_track)
             + 0.5 * a[5] * spec.gamma.d(ph) * tensor_dot(ee, ee)
         )
-        q[m - 1] = ops.solve_neumann(w * (q[m] + tau * f_q).ravel()).reshape(shape)
+        q[m - 1] = ops.neumann(q[m] + tau * f_q)
 
         f_r = co.a2 * q[m] + co.b2 * r[m] + a[3] * (sg - targets.sigma_track)
-        r[m - 1] = ops.solve_robin(w * (r[m] + tau * f_r).ravel()).reshape(shape)
+        r[m - 1] = ops.robin(r[m] + tau * f_r)
 
         load = gtw @ (co.d2 * s[m] + a[5] * spec.gamma.value(ph) * ee).reshape(3, -1).ravel()
-        v[m - 1], eps_v[m - 1], _ = solve_u(v[m], load, ph, traj.z[m - 1], tau, spec, precond, "v-step")
+        v[m - 1], eps_v[m - 1], _ = ops.displace(spec, v[m], load, ph, traj.z[m - 1], "v-step")
 
-        J = damage_jacobian(spec, tau, 1.0 - tau * co.d3)
         f_s = co.a3 * q[m] + co.b3 * r[m] - tensor_dot(co.c2, eps_v[m]) + a[6] * (zz - targets.z_track)
-        sol, _ = cg_solve(
-            J, w * (s[m] + tau * f_s).ravel(), x0=s[m].ravel(), label="s-step", precond=ops.solve_neumann
-        )
-        s[m - 1] = sol.reshape(shape)
+        s[m - 1], _ = ops.damage(1.0 - tau * co.d3, s[m] + tau * f_s, "s-step", x0=s[m])
 
     return AdjointTrajectory(grid=g, times=traj.times.copy(), q=q, r=r, v=v, eps_v=eps_v, s=s)
 

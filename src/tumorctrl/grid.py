@@ -371,14 +371,11 @@ class Grid:
 
 def stress_from_strain(mu, lam, eps):
     """Isotropic stress 2 mu eps + lam tr(eps) I in (e11, e22, e12) storage."""
-    tr = eps[0] + eps[1]
-    return np.stack(
-        [
-            2.0 * mu * eps[0] + lam * tr,
-            2.0 * mu * eps[1] + lam * tr,
-            2.0 * mu * eps[2],
-        ]
-    )
+    s = 2.0 * mu * eps
+    tr = lam * (eps[0] + eps[1])
+    s[0] += tr
+    s[1] += tr
+    return s
 
 
 # -- field carriers ----------------------------------------------------------
@@ -412,51 +409,3 @@ class ScalarField:
             raise ValueError("scalar field contains non-finite entries")
         return self
 
-
-@dataclass
-class VectorField:
-    """Two displacement components per node.
-
-    With ``dirichlet`` set, validation additionally requires exact zeros on
-    the boundary ring.
-    """
-
-    grid: Grid
-    values: np.ndarray
-    dirichlet: bool = False
-
-    def __post_init__(self):
-        self.values = self.grid._check(self.values, comps=2)
-
-    @classmethod
-    def zeros(cls, grid, dirichlet=False):
-        return cls(grid, np.zeros((2,) + grid.shape), dirichlet)
-
-    def validate(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("vector field contains non-finite entries")
-        if self.dirichlet:
-            b = self.values[:, self.grid.boundary_mask]
-            if np.any(b != 0.0):
-                raise ValueError("dirichlet vector field is nonzero on the boundary")
-        return self
-
-
-@dataclass
-class SymTensorField:
-    """Symmetric 2x2 tensor per node, stored as (e11, e22, e12)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = self.grid._check(self.values, comps=3)
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros((3,) + grid.shape))
-
-    def validate(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("tensor field contains non-finite entries")
-        return self

@@ -22,6 +22,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import SolverError
 
+CG_RTOL = 1e-10
+
 
 def separable_solver(axes, tau):
     """Exact solve of W - tau*W*(Ay (+) Ax); returns its solve callable.
@@ -64,16 +66,17 @@ def factorize(A):
     return lu.solve
 
 
-def cg_solve(A, b, x0=None, rtol=1e-10, maxiter=None, label="cg", precond=None):
+def cg_solve(A, b, x0=None, label="cg", precond=None):
     """Solve A x = b for a symmetric positive definite operator A.
+
+    Converges when ||r|| / ||b|| <= CG_RTOL and gives up with a SolverError
+    after ceil(10 * sqrt(len(b))) iterations.
 
     Parameters
     ----------
     A : callable returning the product A @ x of a vector x
     b : right-hand side vector
     x0 : optional warm start
-    rtol : convergence threshold on ||r|| / ||b||
-    maxiter : iteration cap, defaults to 10 * sqrt(len(b))
     label : name used in the non-convergence error
     precond : optional callable applying an SPD approximate inverse of A
 
@@ -85,12 +88,11 @@ def cg_solve(A, b, x0=None, rtol=1e-10, maxiter=None, label="cg", precond=None):
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    if maxiter is None:
-        maxiter = int(math.ceil(10.0 * math.sqrt(b.size)))
+    maxiter = int(math.ceil(10.0 * math.sqrt(b.size)))
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - A(x)
     resid = np.linalg.norm(r)
-    if resid <= rtol * bnorm:
+    if resid <= CG_RTOL * bnorm:
         return x, 0
     z = r if precond is None else precond(r)
     p = z.copy()
@@ -109,7 +111,7 @@ def cg_solve(A, b, x0=None, rtol=1e-10, maxiter=None, label="cg", precond=None):
         r -= alpha * Ap
         resid = np.linalg.norm(r)
         history.append(resid / bnorm)
-        if resid <= rtol * bnorm:
+        if resid <= CG_RTOL * bnorm:
             return x, k
         z = r if precond is None else precond(r)
         rz_new = float(r @ z)

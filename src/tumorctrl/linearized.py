@@ -20,16 +20,7 @@ import numpy as np
 from . import model as mdl
 from .errors import DomainError
 from .grid import stress_from_strain, tensor_dot
-from .state import (
-    Control,
-    StateTrajectory,
-    damage_jacobian,
-    solve_state,
-    solve_u,
-    step_operators,
-    u_preconditioner,
-)
-from .linalg import cg_solve
+from .state import Control, StateTrajectory, solve_state, step_operators
 
 
 @dataclass
@@ -151,7 +142,6 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
         raise ValueError("trajectory carries no control; solve_state stores it")
     chi1, chi2 = traj.control.chi1, traj.control.chi2
     tau = traj.tau
-    w = g.quad_weights
     shape = g.shape
 
     xi = np.zeros((K + 1,) + shape)
@@ -162,7 +152,6 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
 
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
-    precond = u_preconditioner(spec, tau)
 
     for n in range(K):
         co = assemble_coefficients(
@@ -170,20 +159,18 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
             phi_mech=traj.phi[n + 1], z_slope=traj.z[n + 1],
         )
         rhs = xi[n] + tau * (co.a1 * xi[n] + co.a2 * rho[n] + co.a3 * zeta[n] + co.a4 * direction.chi1[n])
-        xi[n + 1] = ops.solve_neumann(w * rhs.ravel()).reshape(shape)
+        xi[n + 1] = ops.neumann(rhs)
 
         rhs = rho[n] + tau * (co.b1 * xi[n] + co.b2 * rho[n] + co.b3 * zeta[n] + co.b4 * direction.chi2[n])
-        rho[n + 1] = ops.solve_robin(w * rhs.ravel()).reshape(shape)
+        rho[n + 1] = ops.robin(rhs)
 
         load = gtw @ (co.c1 * xi[n + 1] + co.c2 * zeta[n]).reshape(3, -1).ravel()
-        omega[n + 1], eps_omega[n + 1], _ = solve_u(
-            omega[n], load, traj.phi[n + 1], traj.z[n], tau, spec, precond, "omega-step"
+        omega[n + 1], eps_omega[n + 1], _ = ops.displace(
+            spec, omega[n], load, traj.phi[n + 1], traj.z[n], "omega-step"
         )
 
-        J = damage_jacobian(spec, tau, 1.0 - tau * co.d3)
-        rhs = w * (zeta[n] + tau * (co.d1 * xi[n + 1] + tensor_dot(co.d2, eps_omega[n + 1]))).ravel()
-        sol, _ = cg_solve(J, rhs, x0=zeta[n].ravel(), label="zeta-step", precond=ops.solve_neumann)
-        zeta[n + 1] = sol.reshape(shape)
+        rhs = zeta[n] + tau * (co.d1 * xi[n + 1] + tensor_dot(co.d2, eps_omega[n + 1]))
+        zeta[n + 1], _ = ops.damage(1.0 - tau * co.d3, rhs, "zeta-step", x0=zeta[n])
 
     return LinearizedTrajectory(
         grid=g, times=traj.times.copy(), xi=xi, rho=rho, omega=omega, eps_omega=eps_omega, zeta=zeta

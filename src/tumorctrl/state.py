@@ -110,28 +110,79 @@ class StateTrajectory:
 
 @dataclass(frozen=True)
 class StepOperators:
-    """Fixed operators of one time step, shared by all three sweeps.
+    """Every implicit solve of one time step, shared by all three sweeps.
 
-    solve_neumann and solve_robin are the separable_solver solves of the
-    implicit diffusion systems W - tau*wl (no-flux and Robin boundaries),
-    exact up to rounding because both Laplacians are Kronecker sums of the
-    grid's 1D axis factors; the no-flux one also preconditions the damage
-    Jacobians, which only add a positive diagonal.  laplacian is
-    -tau*wl_neumann, the fixed part of every damage Jacobian; viscous is
-    K_A / tau on all vector nodes.  The state-dependent displacement and
-    damage operators are applied matrix-free and never assembled.
+    The methods take and return grid fields and weight the right-hand sides
+    by quadrature themselves.  neumann and robin solve the diffusion steps
+    exactly with the separable_solver callables solve_neumann and
+    solve_robin.  damage and displace run CG on state-dependent operators
+    applied matrix-free.  The damage Jacobian adds a positive diagonal to
+    laplacian = -tau*wl_neumann, so the no-flux solve preconditions it.
+    The displacement operator adds the elastic part to viscous = K_A/tau;
+    u_factor, the LU of its interior block at the reference moduli
+    A/tau + <B(phi0, z0)> (<.> the weighted domain mean), preconditions it.
+    Both are Lame forms on the same mesh, so the CG condition number is
+    bounded by the ratio of their moduli, independent of the mesh width,
+    and A/tau dominates the elastic part.
     """
 
+    grid: object
+    tau: float
+    u_factor: Callable
     solve_neumann: Callable
     solve_robin: Callable
     laplacian: sps.csr_matrix
     viscous: sps.spmatrix
 
+    def neumann(self, f):
+        """Solve (I - tau*L_neumann) x = f exactly."""
+        g = self.grid
+        return self.solve_neumann(g.quad_weights * f.ravel()).reshape(g.shape)
+
+    def robin(self, f):
+        """Solve (I - tau*L_robin) x = f exactly."""
+        g = self.grid
+        return self.solve_robin(g.quad_weights * f.ravel()).reshape(g.shape)
+
+    def damage(self, slope, f, label, x0=None):
+        """Solve (diag(slope) - tau*L_neumann) x = f by CG; returns (x, iterations)."""
+        g, lap = self.grid, self.laplacian
+        ws = g.quad_weights * slope.ravel()
+        x0 = None if x0 is None else x0.ravel()
+        x, iters = cg_solve(
+            lambda v: ws * v + lap @ v, g.quad_weights * f.ravel(), x0=x0, label=label,
+            precond=self.solve_neumann,
+        )
+        return x.reshape(g.shape), iters
+
+    def displace(self, spec, u_old, load, phi, z, label):
+        """Solve (K_A/tau + K_B(phi, z)) u_new = K_A/tau u_old + load by CG.
+
+        On Dirichlet-zero interior nodes, warm-started at u_old; load is a
+        weighted flat (2N,) vector.  Returns (u_new, sym_grad(u_new), iterations).
+        """
+        g = self.grid
+        idx = g.interior_vector_indices
+        M_int = u_operator(spec, phi, z, self.tau)
+        old = u_old.reshape(2, -1).ravel()
+        rhs = (self.viscous @ old + load)[idx]
+        sol, iters = cg_solve(M_int, rhs, x0=old[idx], label=label, precond=self.u_factor)
+        full = np.zeros(2 * g.n_nodes)
+        full[idx] = sol
+        u_new = full.reshape((2,) + g.shape)
+        return u_new, g.sym_grad(u_new), iters
+
 
 @lru_cache(maxsize=16)
-def _step_operators(grid, tau, a_mu, a_lam):
+def _step_operators(grid, tau, a_mu, a_lam, mu_ref, lam_ref):
+    # the factor first: built after the viscous operator it raises peak memory
+    idx = grid.interior_vector_indices
+    u_factor = factorize(grid.elastic_matrix(mu_ref, lam_ref)[idx][:, idx])
     y, x = grid.axes
     return StepOperators(
+        grid=grid,
+        tau=tau,
+        u_factor=u_factor,
         solve_neumann=separable_solver(((y.weights, y.neumann), (x.weights, x.neumann)), tau),
         solve_robin=separable_solver(((y.weights, y.robin), (x.weights, x.robin)), tau),
         laplacian=-tau * grid.wl_neumann,
@@ -140,19 +191,14 @@ def _step_operators(grid, tau, a_mu, a_lam):
 
 
 def step_operators(spec, tau):
-    """The cached StepOperators of spec's grid and viscosity at step tau."""
-    return _step_operators(spec.grid, float(tau), float(spec.A_mu), float(spec.A_lam))
-
-
-def damage_jacobian(spec, tau, diag):
-    """Matvec of the weighted damage Jacobian diag(w*diag) - tau*wl_neumann.
-
-    Applied matrix-free as the weighted diagonal plus the cached Laplacian
-    part, on flattened vectors; nothing is assembled per call.
-    """
-    wd = spec.grid.quad_weights * diag.ravel()
-    lap = step_operators(spec, tau).laplacian
-    return lambda v: wd * v + lap @ v
+    """The cached StepOperators of spec at step tau, keyed with its reference moduli."""
+    g, tau = spec.grid, float(tau)
+    mean = lambda f: float(np.average(np.broadcast_to(f, g.shape).ravel(), weights=g.quad_weights))
+    mu_b, lam_b = mdl.eval_B(spec.phi0, spec.z0, spec)
+    return _step_operators(
+        g, tau, float(spec.A_mu), float(spec.A_lam),
+        spec.A_mu / tau + mean(mu_b), spec.A_lam / tau + mean(lam_b),
+    )
 
 
 def u_operator(spec, phi, z, tau):
@@ -167,88 +213,38 @@ def u_operator(spec, phi, z, tau):
     return spec.grid.interior_elastic_operator(mu_b + spec.A_mu / tau, lam_b + spec.A_lam / tau)
 
 
-@lru_cache(maxsize=16)
-def _u_preconditioner(grid, mu, lam):
-    idx = grid.interior_vector_indices
-    return factorize(grid.elastic_matrix(mu, lam)[idx][:, idx])
-
-
-def u_preconditioner(spec, tau):
-    """Shared preconditioner of every displacement substep at step tau.
-
-    The cached factor of the interior elastic block at the constant moduli
-    A/tau + <B(phi0, z0)>, with <.> the quadrature-weighted domain mean.
-    Both it and each step's u_operator are Lame forms on the same mesh, so
-    the CG condition number is bounded by the ratio of their moduli,
-    independent of the mesh width, and A/tau dominates the elastic part.
-    """
-    g = spec.grid
-    mean = lambda f: float(np.average(np.broadcast_to(f, g.shape).ravel(), weights=g.quad_weights))
-    mu_b, lam_b = mdl.eval_B(spec.phi0, spec.z0, spec)
-    return _u_preconditioner(g, spec.A_mu / tau + mean(mu_b), spec.A_lam / tau + mean(lam_b))
-
-
-def step_phi(phi, sigma, z, chi1, tau, spec):
+def step_phi(phi, sigma, z, chi1, ops, spec):
     """Implicit diffusion, explicit reaction; clamp to [0, N] with a log."""
-    g = spec.grid
     U = mdl.eval_U(phi, sigma, z, chi1, spec)
-    sol = step_operators(spec, tau).solve_neumann(g.quad_weights * (phi + tau * U).ravel())
+    sol = ops.neumann(phi + ops.tau * U)
     excess = max(float(-sol.min()), float(sol.max() - spec.N), 0.0)
-    return np.clip(sol, 0.0, spec.N).reshape(g.shape), excess
+    return np.clip(sol, 0.0, spec.N), excess
 
 
-def step_sigma(sigma, phi, z, chi2, sigma_cap, tau, spec):
+def step_sigma(sigma, phi, z, chi2, sigma_cap, ops, spec):
     """Implicit diffusion and Robin exchange, explicit kinetics."""
-    g = spec.grid
+    tau = ops.tau
     react = chi2 * spec.S.value(phi, z) - mdl.eval_K(phi, sigma, z, spec)
-    rhs = g.quad_weights * (
-        (sigma + tau * react).ravel() + tau * g.robin_source(spec.sigma_gamma).ravel()
-    )
-    sol = step_operators(spec, tau).solve_robin(rhs)
+    sol = ops.robin(sigma + tau * react + tau * spec.grid.robin_source(spec.sigma_gamma))
     excess = max(float(-sol.min()), float(sol.max() - sigma_cap), 0.0)
-    return np.clip(sol, 0.0, sigma_cap).reshape(g.shape), excess
+    return np.clip(sol, 0.0, sigma_cap), excess
 
 
-def solve_u(u_old, load, phi, z, tau, spec, precond, label):
-    """One displacement-type substep on Dirichlet-zero interior nodes.
-
-    Solves (K_A/tau + K_B(phi, z)) u_new = K_A/tau u_old + load by CG
-    warm-started at u_old, preconditioned by precond, in the sweeps the
-    shared u_preconditioner.  Returns (u_new, sym_grad(u_new), iterations).
-    """
-    g = spec.grid
-    idx = g.interior_vector_indices
-    M_int = u_operator(spec, phi, z, tau)
-    old = u_old.reshape(2, -1).ravel()
-    rhs = (step_operators(spec, tau).viscous @ old + load)[idx]
-    sol, iters = cg_solve(M_int, rhs, x0=old[idx], label=label, precond=precond)
-    full = np.zeros(2 * g.n_nodes)
-    full[idx] = sol
-    u_new = full.reshape((2,) + g.shape)
-    return u_new, g.sym_grad(u_new), iters
+def step_u(u, phi_new, z, ops, spec):
+    """Quasi-static viscoelastic update on Dirichlet-zero displacements."""
+    load = spec.grid.vector_weights * spec.f.reshape(2, -1).ravel()
+    return ops.displace(spec, u, load, phi_new, z, "u-step")
 
 
-def step_u(u, phi_new, z, f, tau, spec, precond=None):
-    """Quasi-static viscoelastic update on Dirichlet-zero displacements.
-
-    precond defaults to u_preconditioner(spec, tau).
-    """
-    if precond is None:
-        precond = u_preconditioner(spec, tau)
-    load = spec.grid.vector_weights * f.reshape(2, -1).ravel()
-    return solve_u(u, load, phi_new, z, tau, spec, precond, "u-step")
-
-
-def step_z(z, phi_new, eps_new, tau, spec):
+def step_z(z, phi_new, eps_new, ops, spec):
     """Fully implicit damage update; the log barrier stays inside Newton.
 
     Residual F(v) = v - tau*lap(v) + tau*(beta + pi)(v) - rhs, solved by
     damped Newton with an SPD weighted Jacobian; step lengths halve until
     the iterate stays strictly inside (0, 1).
     """
-    g = spec.grid
+    g, tau = spec.grid, ops.tau
     rhs = z + tau * (spec.iota - mdl.eval_Psi(phi_new, eps_new, spec))
-    w = g.quad_weights
     v = z.copy()
     history = []
     for it in range(50):
@@ -269,11 +265,7 @@ def step_z(z, phi_new, eps_new, tau, spec):
                 f"concave slope (min diagonal {slope.min():.3e})",
                 history,
             )
-        J = damage_jacobian(spec, tau, slope)
-        delta, _ = cg_solve(
-            J, -(w * res.ravel()), label="z-newton", precond=step_operators(spec, tau).solve_neumann
-        )
-        delta = delta.reshape(g.shape)
+        delta, _ = ops.damage(slope, -res, "z-newton")
         alpha = 1.0
         for _ in range(60):
             trial = v + alpha * delta
@@ -328,17 +320,15 @@ def solve_state(control: Control, spec) -> StateTrajectory:
         z_excess=0.0,
     )
 
-    precond = u_preconditioner(spec, tau)
+    ops = step_operators(spec, tau)
 
     for n in range(K):
-        phi[n + 1], d.phi_clamp[n] = step_phi(phi[n], sigma[n], z[n], control.chi1[n], tau, spec)
+        phi[n + 1], d.phi_clamp[n] = step_phi(phi[n], sigma[n], z[n], control.chi1[n], ops, spec)
         sigma[n + 1], d.sigma_clamp[n] = step_sigma(
-            sigma[n], phi[n], z[n], control.chi2[n], cap, tau, spec
+            sigma[n], phi[n], z[n], control.chi2[n], cap, ops, spec
         )
-        u[n + 1], eps_u[n + 1], d.cg_u[n] = step_u(
-            u[n], phi[n + 1], z[n], spec.f, tau, spec, precond=precond
-        )
-        z[n + 1], d.newton_iters[n] = step_z(z[n], phi[n + 1], eps_u[n + 1], tau, spec)
+        u[n + 1], eps_u[n + 1], d.cg_u[n] = step_u(u[n], phi[n + 1], z[n], ops, spec)
+        z[n + 1], d.newton_iters[n] = step_z(z[n], phi[n + 1], eps_u[n + 1], ops, spec)
     if window is not None:
         d.z_excess = max(0.0, float(window[0] - z[1:].min()), float(z[1:].max() - window[1]))
 

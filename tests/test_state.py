@@ -13,7 +13,6 @@ from tumorctrl.adjoint import CostWeights, Targets, solve_adjoint
 from tumorctrl.linearized import solve_linearized
 from tumorctrl.state import (
     Control,
-    damage_jacobian,
     save_trajectory,
     sigma_cap_for,
     solve_state,
@@ -23,7 +22,6 @@ from tumorctrl.state import (
     step_u,
     step_z,
     u_operator,
-    u_preconditioner,
 )
 
 
@@ -41,7 +39,8 @@ def const(grid, v):
 
 def test_phi_zero_stays_zero(small_spec):
     g = small_spec.grid
-    out, excess = step_phi(const(g, 0), const(g, 0.4), const(g, 0.5), const(g, 0.2), 0.01, small_spec)
+    ops = step_operators(small_spec, 0.01)
+    out, excess = step_phi(const(g, 0), const(g, 0.4), const(g, 0.5), const(g, 0.2), ops, small_spec)
     assert np.all(out == 0.0)
     assert excess == 0.0
 
@@ -50,7 +49,8 @@ def test_phi_constant_matches_explicit_euler(small_spec):
     g = small_spec.grid
     c, sc, zc, x1 = 0.3, 0.6, 0.45, 0.1
     tau = 0.02
-    out, excess = step_phi(const(g, c), const(g, sc), const(g, zc), const(g, x1), tau, small_spec)
+    ops = step_operators(small_spec, tau)
+    out, excess = step_phi(const(g, c), const(g, sc), const(g, zc), const(g, x1), ops, small_spec)
     expected = c + tau * float(mdl.eval_U(c, sc, zc, x1, small_spec))
     assert np.abs(out - expected).max() < 1e-10
     assert excess == 0.0
@@ -77,7 +77,8 @@ def test_phi_clamp_excess_halves_with_tau():
 def test_sigma_zero_stays_zero(small_spec):
     g = small_spec.grid
     spec = small_spec.with_fields(sigma_gamma=const(g, 0.0))
-    out, excess = step_sigma(const(g, 0), const(g, 0.2), const(g, 0.5), const(g, 0.0), 1.0, 0.01, spec)
+    ops = step_operators(spec, 0.01)
+    out, excess = step_sigma(const(g, 0), const(g, 0.2), const(g, 0.5), const(g, 0.0), 1.0, ops, spec)
     assert np.all(out == 0.0)
     assert excess == 0.0
 
@@ -87,8 +88,9 @@ def test_sigma_constant_steady_state(small_spec):
     spec = small_spec.with_fields(
         k1=mdl.constant_map(0.0), sigma_gamma=const(g, spec_m0 := small_spec.M0)
     )
+    ops = step_operators(spec, 0.05)
     out, excess = step_sigma(
-        const(g, spec_m0), const(g, 0.3), const(g, 0.5), const(g, 0.0), 2.0, 0.05, spec
+        const(g, spec_m0), const(g, 0.3), const(g, 0.5), const(g, 0.0), 2.0, ops, spec
     )
     assert np.abs(out - spec_m0).max() < 1e-10
     assert excess == 0.0
@@ -100,7 +102,8 @@ def test_sigma_tracks_scalar_recursion_for_small_tau(small_spec):
     c, tau = 0.5, 1e-4
     spec = small_spec.with_fields(sigma_gamma=const(g, c))
     chi2 = const(g, 0.4)
-    out, _ = step_sigma(const(g, c), const(g, 0.3), const(g, 0.5), chi2, 2.0, tau, spec)
+    ops = step_operators(spec, tau)
+    out, _ = step_sigma(const(g, c), const(g, 0.3), const(g, 0.5), chi2, 2.0, ops, spec)
     react = 0.4 * float(spec.S.value(0.3, 0.5)) - float(mdl.eval_K(0.3, c, 0.5, spec))
     assert np.abs(out - (c + tau * react)).max() < 1e-6
 
@@ -111,7 +114,8 @@ def test_sigma_tracks_scalar_recursion_for_small_tau(small_spec):
 def test_u_zero_data_zero_solution(small_spec):
     g = small_spec.grid
     z2 = np.zeros((2,) + g.shape)
-    u_new, eps_new, _ = step_u(z2, const(g, 0.3), const(g, 0.5), z2, 0.02, small_spec)
+    spec = small_spec.with_fields(f=z2)
+    u_new, eps_new, _ = step_u(z2, const(g, 0.3), const(g, 0.5), step_operators(spec, 0.02), spec)
     assert np.all(u_new == 0.0)
     assert np.all(eps_new == 0.0)
 
@@ -146,13 +150,15 @@ def test_damage_jacobian_matches_assembled_form(small_spec):
     g = small_spec.grid
     rng = np.random.default_rng(4)
     tau = 0.02
+    ops = step_operators(small_spec, tau)
     for _ in range(2):
-        diag = rng.uniform(0.5, 2.0, g.shape)
-        ref = (sps.diags(g.quad_weights * diag.ravel()) - tau * g.wl_neumann).tocsr()
-        J = damage_jacobian(small_spec, tau, diag)
+        slope = rng.uniform(0.5, 2.0, g.shape)
+        ref = (sps.diags(g.quad_weights * slope.ravel()) - tau * g.wl_neumann).tocsr()
         for _ in range(3):
-            v = rng.standard_normal(g.n_nodes)
-            assert np.linalg.norm(J(v) - ref @ v) <= 1e-14 * np.linalg.norm(ref @ v)
+            f = rng.standard_normal(g.shape)
+            x, _ = ops.damage(slope, f, "test")
+            b = g.quad_weights * f.ravel()
+            assert np.linalg.norm(ref @ x.ravel() - b) <= 1e-9 * np.linalg.norm(b)
 
 
 def test_elastic_assembly_is_not_repeated_per_step(monkeypatch):
@@ -209,8 +215,39 @@ def test_sweeps_share_one_factorization(monkeypatch):
     assert len(calls) == 1
 
 
-def test_u_preconditioner_is_cached(small_spec):
-    assert u_preconditioner(small_spec, 0.02) is u_preconditioner(small_spec, 0.02)
+def test_step_operators_are_cached(small_spec):
+    assert step_operators(small_spec, 0.02) is step_operators(small_spec, 0.02)
+
+
+def test_step_operators_key_carries_reference_moduli(small_spec):
+    # the displacement preconditioner is taken at the moduli of (phi0, z0)
+    g = small_spec.grid
+    other = small_spec.with_fields(phi0=small_spec.phi0 + 0.1)
+    a, b = step_operators(small_spec, 0.02), step_operators(other, 0.02)
+    assert a.u_factor is not b.u_factor
+    r = np.random.default_rng(5).standard_normal(len(g.interior_vector_indices))
+    assert not np.array_equal(a.u_factor(r), b.u_factor(r))
+
+
+def test_each_sweep_looks_up_step_operators_once(monkeypatch):
+    lookups = []
+    orig = step_operators
+
+    def counted(*args, **kwargs):
+        lookups.append(1)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tumorctrl"):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    sc = smooth_scenario(nx=8, n_steps=12)
+    traj = solve_state(sc.control, sc.spec)
+    solve_linearized(traj, sc.control, sc.spec)
+    solve_adjoint(traj, CostWeights(), Targets.resting(sc.spec), sc.spec)
+    assert len(lookups) == 3
 
 
 def test_sweeps_share_one_linearization_and_direct_diffusion_solves(monkeypatch):
@@ -276,11 +313,11 @@ def test_u_one_step_manufactured_second_order():
     for n in (16, 32, 64):
         g = Grid.unit(n, n)
         X, Y = g.meshes
-        spec = mdl.DefaultLogisticFamily().build(g)
         f = np.stack([fns[0](X, Y), fns[1](X, Y)])
         exact = np.stack([fns[2](X, Y), fns[3](X, Y)])
+        spec = mdl.DefaultLogisticFamily().build(g).with_fields(f=f)
         u_new, _, _ = step_u(
-            np.zeros((2,) + g.shape), fns[4](X, Y), fns[5](X, Y), f, tau, spec
+            np.zeros((2,) + g.shape), fns[4](X, Y), fns[5](X, Y), step_operators(spec, tau), spec
         )
         errs.append(np.abs(u_new - exact).max())
     assert 1.8 < np.log2(errs[0] / errs[1]) < 2.2
@@ -309,7 +346,8 @@ def test_z_matches_scalar_newton(small_spec):
     g = small_spec.grid
     tau, zc, phc = 0.02, 0.45, 0.3
     eps0 = np.zeros((3,) + g.shape)
-    out, iters = step_z(const(g, zc), const(g, phc), eps0, tau, small_spec)
+    ops = step_operators(small_spec, tau)
+    out, iters = step_z(const(g, zc), const(g, phc), eps0, ops, small_spec)
     iota = float(small_spec.iota.flat[0])
     psi = float(small_spec.psi.value(np.array([phc]), np.zeros((3, 1)))[0])
     rhs = zc + tau * (iota - psi)
@@ -324,19 +362,21 @@ def test_z_stationary_fixed_point(small_spec):
     psi = float(small_spec.psi.value(np.array([phc]), np.zeros((3, 1)))[0])
     iota = float(mdl.beta(zbar, small_spec) + mdl.pi(zbar, small_spec)) + psi
     spec = small_spec.with_fields(iota=const(g, iota))
-    out, _ = step_z(const(g, zbar), const(g, phc), np.zeros((3,) + g.shape), 0.05, spec)
+    ops = step_operators(spec, 0.05)
+    out, _ = step_z(const(g, zbar), const(g, phc), np.zeros((3,) + g.shape), ops, spec)
     assert np.abs(out - zbar).max() < 1e-9
 
 
 def test_z_output_strictly_inside_unit_interval(small_spec):
     g = small_spec.grid
     rng = np.random.default_rng(17)
+    ops = step_operators(small_spec, 0.02)
     for _ in range(100):
         z = rng.uniform(0.1, 0.9) + 0.05 * rng.standard_normal(g.shape)
         z = np.clip(z, 0.05, 0.95)
         ph = rng.uniform(0.0, small_spec.N, g.shape)
         eps = 0.1 * rng.standard_normal((3,) + g.shape)
-        out, _ = step_z(z, ph, eps, 0.02, small_spec)
+        out, _ = step_z(z, ph, eps, ops, small_spec)
         assert out.min() > 0.0
         assert out.max() < 1.0
 
