@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import tensor_dot, trapezoid_weights
-from .linearized import assemble_coefficients, dose_coefficients
+from .linearized import assemble_coefficients, block_steps, dose_coefficients
 from .state import StateTrajectory, step_operators
 
 
@@ -175,10 +175,19 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
 
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
+    B = block_steps(g)
 
     for m in range(K, 0, -1):
+        if (K - m) % B == 0:
+            # the block holds levels m0..m, consumed downward
+            m0 = max(1, m - B + 1)
+            block = assemble_coefficients(
+                traj.phi[m0:m + 1], traj.sigma[m0:m + 1], traj.z[m0:m + 1],
+                np.moveaxis(traj.eps_u[m0:m + 1], 1, 0), chi1[m0:m + 1], chi2[m0:m + 1], spec,
+                step0=m0,
+            )
+        co = block.level(m - m0)
         ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], traj.eps_u[m]
-        co = assemble_coefficients(ph, sg, zz, ee, chi1[m], chi2[m], spec)
 
         f_q = (
             co.a1 * q[m]

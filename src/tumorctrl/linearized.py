@@ -11,7 +11,11 @@ both solvers; taylor_test packages that comparison.
 assemble_coefficients is the single source of the derivative's
 thirteen per-node fields, one for each way a perturbation of (tumor,
 lactate, damage, displacement, doses) enters the four equations; the
-tangent and adjoint sweeps both take their coefficients from it.
+tangent and adjoint sweeps both take their coefficients from it.  Both
+sweeps only read the stored trajectory, so they evaluate the coefficients
+for a block of block_steps(grid) time levels in one call and step through
+views of it; elementwise arithmetic does not depend on the stacking, so
+the result is bitwise that of a per-level evaluation.
 """
 from dataclasses import dataclass, fields
 
@@ -22,14 +26,24 @@ from .errors import DomainError
 from .grid import stress_from_strain, tensor_dot
 from .state import Control, StateTrajectory, solve_state, step_operators
 
+BLOCK_BYTES = 32 * 1024
+_TENSORS = ("c1", "c2", "d2")
+
+
+def block_steps(grid):
+    """Time levels per coefficient block: one scalar field fills BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * grid.n_nodes))
+
 
 @dataclass
 class LinearizedCoefficients:
-    """Per-node coefficient fields of the linearized system at one time.
+    """Per-node coefficient fields of the linearized system.
 
     Scalars multiply scalar perturbations; the c and d2 entries are
     symmetric tensors in (t11, t22, t12) storage and act through the
-    double-dot product.
+    double-dot product.  A block of time levels stacks the levels after
+    the tensor component: scalars are (B, ny+1, nx+1), tensors
+    (3, B, ny+1, nx+1).
     """
 
     a1: np.ndarray
@@ -46,23 +60,39 @@ class LinearizedCoefficients:
     d2: np.ndarray
     d3: np.ndarray
 
-    def validate(self):
+    def validate(self, step0=None):
         """Raise DomainError naming the first non-finite node of a field.
 
-        A finite sum implies finite entries, so only a field whose sum is
+        With step0 the fields are a block whose first level is time step
+        step0, and the message names the absolute step of the node.  A
+        finite sum implies finite entries, so only a field whose sum is
         not finite (a bad entry, or an overflow) pays the locating scan.
         """
         for f in fields(self):
             name, arr = f.name, getattr(self, f.name)
             if np.isfinite(arr.sum()):
                 continue
+            if step0 is not None and name in _TENSORS:
+                arr = np.moveaxis(arr, 1, 0)
             bad = ~np.isfinite(arr)
             if bad.any():
                 node = tuple(
                     int(v) for v in np.unravel_index(int(np.flatnonzero(bad)[0]), arr.shape)
                 )
-                raise DomainError(f"coefficient {name} non-finite at node {node}")
+                if step0 is None:
+                    raise DomainError(f"coefficient {name} non-finite at node {node}")
+                raise DomainError(
+                    f"coefficient {name} non-finite at step {step0 + node[0]}, node {node[1:]}"
+                )
         return self
+
+    def level(self, j):
+        """Views of level j of a block."""
+        views = {}
+        for f in fields(self):
+            arr = getattr(self, f.name)
+            views[f.name] = arr[:, j] if f.name in _TENSORS else arr[j]
+        return LinearizedCoefficients(**views)
 
 
 def dose_coefficients(phi, z, spec):
@@ -71,41 +101,51 @@ def dose_coefficients(phi, z, spec):
 
 
 def assemble_coefficients(
-    phi, sigma, z, eps, chi1, chi2, spec, phi_mech=None, z_slope=None
+    phi, sigma, z, eps, chi1, chi2, spec, phi_mech=None, z_slope=None, step0=None
 ) -> LinearizedCoefficients:
-    """Evaluate all thirteen linearization coefficients at one time level.
+    """Evaluate all thirteen linearization coefficients at one or more levels.
 
     phi_mech is the tumor at which the mechanical coefficients c1, c2, d1
     and d2 are taken, z_slope the damage at which d3 is; both default to
     the same level as the rest.  The tangent march staggers them to match
-    the state substeps.
+    the state substeps.  Stacked levels, with eps component-first
+    (3, B, ny+1, nx+1), give a block; step0 is the time step of its first
+    level, named by validation errors.
     """
     phi_mech = phi if phi_mech is None else phi_mech
     z_slope = z if z_slope is None else z_slope
     p = spec.p.value(sigma, z)
     g_ = spec.g.value(sigma, z)
+    p_sigma, p_z = spec.p.grad(sigma, z)
+    g_sigma, g_z = spec.g.grad(sigma, z)
     a4, b4 = dose_coefficients(phi, z, spec)
     logi = -a4
     a1 = (p - chi1) * (1.0 - 2.0 * phi / spec.N) - g_
-    a2 = spec.p.d1(sigma, z) * logi - phi * spec.g.d1(sigma, z)
-    a3 = spec.p.d2(sigma, z) * logi - phi * spec.g.d2(sigma, z)
+    a2 = p_sigma * logi - phi * g_sigma
+    a3 = p_z * logi - phi * g_z
 
     k1 = spec.k1.value(phi, z)
     k2 = spec.k2.value(phi, z)
+    k1_phi, k1_z = spec.k1.grad(phi, z)
+    k2_phi, k2_z = spec.k2.grad(phi, z)
+    S_phi, S_z = spec.S.grad(phi, z)
     den = k2 + sigma
-    b1 = -spec.k1.d1(phi, z) * sigma / den + k1 * sigma * spec.k2.d1(phi, z) / den**2
-    b1 = b1 + chi2 * spec.S.d1(phi, z)
+    b1 = -k1_phi * sigma / den + k1 * sigma * k2_phi / den**2
+    b1 = b1 + chi2 * S_phi
     b2 = -k1 / den + k1 * sigma / den**2
-    b3 = -spec.k1.d2(phi, z) * sigma / den + k1 * sigma * spec.k2.d2(phi, z) / den**2
-    b3 = b3 + chi2 * spec.S.d2(phi, z)
+    b3 = -k1_z * sigma / den + k1 * sigma * k2_z / den**2
+    b3 = b3 + chi2 * S_z
 
-    c1 = -stress_from_strain(spec.B_mu.d1(phi_mech, z), spec.B_lam.d1(phi_mech, z), eps)
-    c2 = -stress_from_strain(spec.B_mu.d2(phi_mech, z), spec.B_lam.d2(phi_mech, z), eps)
+    mu_phi, mu_z = spec.B_mu.grad(phi_mech, z)
+    lam_phi, lam_z = spec.B_lam.grad(phi_mech, z)
+    c1 = -stress_from_strain(mu_phi, lam_phi, eps)
+    c2 = -stress_from_strain(mu_z, lam_z, eps)
 
     d1 = -spec.psi.d_phi(phi_mech, eps)
     d2 = -spec.psi.d_eps(phi_mech, eps)
     d3 = -(mdl.beta_prime(z_slope, spec) + mdl.pi_prime(z_slope, spec))
-    return LinearizedCoefficients(a1, a2, a3, a4, b1, b2, b3, b4, c1, c2, d1, d2, d3).validate()
+    co = LinearizedCoefficients(a1, a2, a3, a4, b1, b2, b3, b4, c1, c2, d1, d2, d3)
+    return co.validate(step0)
 
 
 @dataclass
@@ -152,12 +192,18 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
 
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
+    B = block_steps(g)
 
     for n in range(K):
-        co = assemble_coefficients(
-            traj.phi[n], traj.sigma[n], traj.z[n], traj.eps_u[n + 1], chi1[n], chi2[n], spec,
-            phi_mech=traj.phi[n + 1], z_slope=traj.z[n + 1],
-        )
+        j = n % B
+        if j == 0:
+            n1 = min(n + B, K)
+            block = assemble_coefficients(
+                traj.phi[n:n1], traj.sigma[n:n1], traj.z[n:n1],
+                np.moveaxis(traj.eps_u[n + 1:n1 + 1], 1, 0), chi1[n:n1], chi2[n:n1], spec,
+                phi_mech=traj.phi[n + 1:n1 + 1], z_slope=traj.z[n + 1:n1 + 1], step0=n,
+            )
+        co = block.level(j)
         rhs = xi[n] + tau * (co.a1 * xi[n] + co.a2 * rho[n] + co.a3 * zeta[n] + co.a4 * direction.chi1[n])
         xi[n + 1] = ops.neumann(rhs)
 

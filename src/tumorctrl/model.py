@@ -31,11 +31,10 @@ from .errors import DomainError, SeparationError
 
 @dataclass(frozen=True)
 class PointMap2:
-    """Scalar map of two arguments with analytic first partials."""
+    """Scalar map of two arguments; grad returns both analytic partials."""
 
     value: Callable
-    d1: Callable
-    d2: Callable
+    grad: Callable
 
 
 def expit_map(lo, hi, c0, c1, c2) -> PointMap2:
@@ -45,22 +44,23 @@ def expit_map(lo, hi, c0, c1, c2) -> PointMap2:
     def val(a, b):
         return lo + span * expit(c0 + c1 * a + c2 * b)
 
-    def dslope(a, b):
+    def grad(a, b):
         e = expit(c0 + c1 * a + c2 * b)
-        return span * e * (1.0 - e)
+        slope = span * e * (1.0 - e)
+        return c1 * slope, c2 * slope
 
-    return PointMap2(
-        value=val,
-        d1=lambda a, b: c1 * dslope(a, b),
-        d2=lambda a, b: c2 * dslope(a, b),
-    )
+    return PointMap2(value=val, grad=grad)
 
 
 def constant_map(v) -> PointMap2:
     def zero(a, b):
         return 0.0 * (np.asarray(a, dtype=float) + np.asarray(b, dtype=float))
 
-    return PointMap2(value=lambda a, b: v + zero(a, b), d1=zero, d2=zero)
+    def grad(a, b):
+        z = zero(a, b)
+        return z, z
+
+    return PointMap2(value=lambda a, b: v + zero(a, b), grad=grad)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,24 @@
 """Tangent solver tests: coefficient tables against finite differences,
 linearity, and the Taylor remainder ladder."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tumorctrl import linearized
 from tumorctrl import model as mdl
+from tumorctrl.adjoint import CostWeights, Targets, solve_adjoint
 from tumorctrl.errors import DomainError
-from tumorctrl.grid import Grid, stress_from_strain
+from tumorctrl.grid import Grid, stress_from_strain, tensor_dot
 from tumorctrl.linearized import (
     assemble_coefficients,
+    block_steps,
     solve_linearized,
     taylor_test,
     trajectory_distance,
 )
 from tumorctrl.presets import smooth_scenario
-from tumorctrl.state import Control, solve_state
+from tumorctrl.state import Control, solve_state, step_operators
 
 
 @pytest.fixture(scope="module", params=["default", "k2-variable"])
@@ -109,6 +114,118 @@ def test_coefficient_validation_names_bad_node(spec):
     phi[2, 3] = np.nan
     with pytest.raises(ValueError, match=r"coefficient a1 non-finite at node \(2, 3\)"):
         assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec)
+
+
+def test_block_error_names_the_step(spec):
+    levels = [random_fields(spec, seed=s) for s in range(4)]
+    phi, sigma, z, eps, chi1, chi2 = (np.stack(f) for f in zip(*levels))
+    eps = np.moveaxis(eps, 1, 0)
+    chi2[2, 4, 1] = np.nan
+    with pytest.raises(DomainError, match=r"coefficient b1 non-finite at step 12, node \(4, 1\)"):
+        assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec, step0=10)
+    chi2[2, 4, 1] = 0.5
+    eps[1, 3, 2, 5] = np.nan
+    with pytest.raises(DomainError, match=r"coefficient c1 non-finite at step 13, node \(0, 2, 5\)"):
+        assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec, step0=10)
+
+
+def test_block_steps_follow_byte_budget(monkeypatch):
+    assert block_steps(Grid.unit(24, 24)) == 6
+    assert block_steps(Grid.unit(48, 48)) == 1
+    assert block_steps(Grid.unit(96, 96)) == 1
+    assert block_steps(Grid.unit(400, 400)) == 1
+    monkeypatch.setattr(linearized, "BLOCK_BYTES", 1)
+    assert block_steps(Grid.unit(8, 8)) == 1
+
+
+def reference_tangent(traj, direction, spec):
+    """Per-step tangent march, one assemble_coefficients call per level."""
+    g, K, tau = spec.grid, traj.n_steps, traj.tau
+    chi1, chi2 = traj.control.chi1, traj.control.chi2
+    xi, rho, zeta = (np.zeros((K + 1,) + g.shape) for _ in range(3))
+    omega, eps_omega = np.zeros((K + 1, 2) + g.shape), np.zeros((K + 1, 3) + g.shape)
+    ops = step_operators(spec, tau)
+    gtw = g.sym_grad_weighted_transpose
+    for n in range(K):
+        co = assemble_coefficients(
+            traj.phi[n], traj.sigma[n], traj.z[n], traj.eps_u[n + 1], chi1[n], chi2[n], spec,
+            phi_mech=traj.phi[n + 1], z_slope=traj.z[n + 1],
+        )
+        rhs = xi[n] + tau * (co.a1 * xi[n] + co.a2 * rho[n] + co.a3 * zeta[n] + co.a4 * direction.chi1[n])
+        xi[n + 1] = ops.neumann(rhs)
+        rhs = rho[n] + tau * (co.b1 * xi[n] + co.b2 * rho[n] + co.b3 * zeta[n] + co.b4 * direction.chi2[n])
+        rho[n + 1] = ops.robin(rhs)
+        load = gtw @ (co.c1 * xi[n + 1] + co.c2 * zeta[n]).reshape(3, -1).ravel()
+        omega[n + 1], eps_omega[n + 1], _ = ops.displace(
+            spec, omega[n], load, traj.phi[n + 1], traj.z[n], "omega-step"
+        )
+        rhs = zeta[n] + tau * (co.d1 * xi[n + 1] + tensor_dot(co.d2, eps_omega[n + 1]))
+        zeta[n + 1], _ = ops.damage(1.0 - tau * co.d3, rhs, "zeta-step", x0=zeta[n])
+    return xi, rho, omega, zeta
+
+
+def reference_adjoint(traj, weights, targets, spec):
+    """Per-step adjoint march, one assemble_coefficients call per level."""
+    g, K, tau, a = spec.grid, traj.n_steps, traj.tau, weights.as_array()
+    chi1, chi2 = traj.control.chi1, traj.control.chi2
+    q, r, s = (np.zeros((K + 1,) + g.shape) for _ in range(3))
+    v, eps_v = np.zeros((K + 1, 2) + g.shape), np.zeros((K + 1, 3) + g.shape)
+    q[K] = a[1] * (traj.phi[K] - targets.phi_final) + a[2]
+    r[K] = a[4] * (traj.sigma[K] - targets.sigma_final)
+    s[K] = a[7]
+    ops = step_operators(spec, tau)
+    gtw = g.sym_grad_weighted_transpose
+    for m in range(K, 0, -1):
+        ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], traj.eps_u[m]
+        co = assemble_coefficients(ph, sg, zz, ee, chi1[m], chi2[m], spec)
+        f_q = (
+            co.a1 * q[m]
+            + co.b1 * r[m]
+            + co.d1 * s[m]
+            - tensor_dot(co.c1, eps_v[m])
+            + a[0] * (ph - targets.phi_track)
+            + 0.5 * a[5] * spec.gamma.d(ph) * tensor_dot(ee, ee)
+        )
+        q[m - 1] = ops.neumann(q[m] + tau * f_q)
+        f_r = co.a2 * q[m] + co.b2 * r[m] + a[3] * (sg - targets.sigma_track)
+        r[m - 1] = ops.robin(r[m] + tau * f_r)
+        load = gtw @ (co.d2 * s[m] + a[5] * spec.gamma.value(ph) * ee).reshape(3, -1).ravel()
+        v[m - 1], eps_v[m - 1], _ = ops.displace(spec, v[m], load, ph, traj.z[m - 1], "v-step")
+        f_s = co.a3 * q[m] + co.b3 * r[m] - tensor_dot(co.c2, eps_v[m]) + a[6] * (zz - targets.z_track)
+        s[m - 1], _ = ops.damage(1.0 - tau * co.d3, s[m] + tau * f_s, "s-step", x0=s[m])
+    return q, r, v, s
+
+
+def test_blocked_sweeps_equal_per_step_reference(monkeypatch):
+    # five levels per block: 12 steps end on a partial block
+    monkeypatch.setattr(linearized, "BLOCK_BYTES", 5 * 8 * 81)
+    sc = smooth_scenario(nx=8, n_steps=12)
+    assert block_steps(sc.spec.grid) == 5
+    traj = solve_state(sc.control, sc.spec)
+    weights = CostWeights(alpha3=0.5, alpha5=1.0, alpha6=1.0, alpha7=1.0, alpha8=0.5)
+    targets = Targets.resting(sc.spec)
+
+    lin = solve_linearized(traj, sc.control, sc.spec)
+    want = reference_tangent(traj, sc.control, sc.spec)
+    for got, ref in zip((lin.xi, lin.rho, lin.omega, lin.zeta), want):
+        assert np.array_equal(got, ref)
+
+    adj = solve_adjoint(traj, weights, targets, sc.spec)
+    want = reference_adjoint(traj, weights, targets, sc.spec)
+    for got, ref in zip((adj.q, adj.r, adj.v, adj.s), want):
+        assert np.array_equal(got, ref)
+
+
+def test_sweep_errors_name_the_step(monkeypatch, small_run):
+    monkeypatch.setattr(linearized, "BLOCK_BYTES", 5 * 8 * 81)
+    sc, traj = small_run
+    chi2 = traj.control.chi2.copy()
+    chi2[3, 4, 1] = np.nan
+    bad = replace(traj, control=Control(traj.control.chi1, chi2))
+    with pytest.raises(DomainError, match=r"coefficient b1 non-finite at step 3, node \(4, 1\)"):
+        solve_linearized(bad, sc.control, sc.spec)
+    with pytest.raises(DomainError, match=r"coefficient b1 non-finite at step 3, node \(4, 1\)"):
+        solve_adjoint(bad, CostWeights(), Targets.resting(sc.spec), sc.spec)
 
 
 @pytest.fixture(scope="module")

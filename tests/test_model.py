@@ -130,8 +130,8 @@ def test_map_derivatives_match_fd(which, spec, spec_k2var):
             fd1 = central(lambda t: m.value(t, b), a)
             fd2 = central(lambda t: m.value(a, t), b)
             scale = abs(fd1) + abs(fd2) + 1e-8
-            assert abs(m.d1(a, b) - fd1) < 1e-6 * scale
-            assert abs(m.d2(a, b) - fd2) < 1e-6 * scale
+            assert abs(m.grad(a, b)[0] - fd1) < 1e-6 * scale
+            assert abs(m.grad(a, b)[1] - fd2) < 1e-6 * scale
 
 
 def test_barrier_derivatives_match_fd(spec):

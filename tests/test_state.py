@@ -1,4 +1,5 @@
 """Forward solver tests: substep oracles, invariants, convergence orders."""
+import math
 import sys
 
 import numpy as np
@@ -251,7 +252,7 @@ def test_each_sweep_looks_up_step_operators_once(monkeypatch):
 
 
 def test_sweeps_share_one_linearization_and_direct_diffusion_solves(monkeypatch):
-    labels, coeff_calls = [], []
+    labels, block_lengths = [], []
     cg_orig, co_orig = linalg.cg_solve, linearized.assemble_coefficients
 
     def cg_counted(*args, **kwargs):
@@ -259,7 +260,7 @@ def test_sweeps_share_one_linearization_and_direct_diffusion_solves(monkeypatch)
         return cg_orig(*args, **kwargs)
 
     def co_counted(*args, **kwargs):
-        coeff_calls.append(1)
+        block_lengths.append(args[0].shape[0])
         return co_orig(*args, **kwargs)
 
     swap = {id(cg_orig): cg_counted, id(co_orig): co_counted}
@@ -269,12 +270,16 @@ def test_sweeps_share_one_linearization_and_direct_diffusion_solves(monkeypatch)
                 if id(value) in swap:
                     monkeypatch.setattr(mod, attr, swap[id(value)])
 
+    # five levels per block: 12 steps end on a partial block
+    monkeypatch.setattr(linearized, "BLOCK_BYTES", 5 * 8 * 81)
     sc = smooth_scenario(nx=8, n_steps=12)
+    K, B = sc.n_steps, linearized.block_steps(sc.spec.grid)
     traj = solve_state(sc.control, sc.spec)
     solve_linearized(traj, sc.control, sc.spec)
-    assert len(coeff_calls) == 12
+    assert len(block_lengths) == math.ceil(K / B) and sum(block_lengths) == K
+    block_lengths.clear()
     solve_adjoint(traj, CostWeights(), Targets.resting(sc.spec), sc.spec)
-    assert len(coeff_calls) == 24
+    assert len(block_lengths) == math.ceil(K / B) and sum(block_lengths) == K
     # CG only where its preconditioner is inexact; diffusion solves are direct
     assert set(labels) == {"u-step", "z-newton", "omega-step", "zeta-step", "v-step", "s-step"}
 
