@@ -22,7 +22,7 @@ from .control import (
     vi_residual,
 )
 from .errors import ConfigError, DomainError, SeparationError, SolverError
-from .grid import Grid, ScalarField, stress_from_strain, tensor_dot, trapezoid_weights
+from .grid import Grid, stress_from_strain, tensor_dot, trapezoid_weights
 from .linearized import solve_linearized, taylor_test
 from .model import (
     DefaultLogisticFamily,
@@ -45,7 +45,6 @@ __all__ = [
     "ModelSpec",
     "OptimizeResult",
     "RunConfig",
-    "ScalarField",
     "SeparationError",
     "SolverError",
     "StateTrajectory",

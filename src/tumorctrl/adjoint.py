@@ -102,8 +102,6 @@ def eval_cost(traj: StateTrajectory, weights: CostWeights, targets: Targets, spe
     weights.validate()
     g = traj.grid
     targets.validate(g)
-    if traj.control is None:
-        raise ValueError("trajectory carries no control")
     a = weights.as_array()
     tw = traj.tau * trapezoid_weights(traj.n_steps)
 
@@ -156,8 +154,6 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
     weights.validate()
     g = traj.grid
     targets.validate(g)
-    if traj.control is None:
-        raise ValueError("trajectory carries no control")
     chi1, chi2 = traj.control.chi1, traj.control.chi2
     a = weights.as_array()
     K = traj.n_steps

@@ -25,10 +25,9 @@ from .adjoint import solve_adjoint
 from .config import load_config
 from .control import control_inner, fd_directional, optimize, reduced_gradient, vi_residual
 from .errors import ConfigError, DomainError, SeparationError, SolverError
-from .grid import ScalarField
 from .linearized import taylor_test
 from .presets import ode_rhs
-from .snapshots import write_history, write_snapshot_bin, write_snapshot_csv
+from .snapshots import write_history, write_snapshots
 from .state import Control, save_trajectory, solve_state
 
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_SOLVER = 0, 1, 2, 3
@@ -233,12 +232,10 @@ def cmd_optimize(cfg, args):
     out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
     write_history(out / "history.csv", res.history)
-    write = write_snapshot_csv if cfg.fmt == "csv" else write_snapshot_bin
-    ext = "csv" if cfg.fmt == "csv" else "tcf"
     tau = cfg.spec.T / cfg.n_steps
     for n in range(0, cfg.n_steps + 1, cfg.stride):
-        write(out / f"chi1_{n:05d}.{ext}", ScalarField(cfg.spec.grid, res.control.chi1[n]), n * tau)
-        write(out / f"chi2_{n:05d}.{ext}", ScalarField(cfg.spec.grid, res.control.chi2[n]), n * tau)
+        named = (("chi1", res.control.chi1[n]), ("chi2", res.control.chi2[n]))
+        write_snapshots(out, cfg.spec.grid, n, n * tau, named, cfg.fmt)
 
     vi = vi_residual(res.control, res.gradient, cfg.spec, cfg.admissible, seed=cfg.seed)
     if res.converged:

@@ -35,7 +35,7 @@ from .control import AdmissibleSet
 from .errors import ConfigError
 from .grid import Grid
 from .model import DefaultLogisticFamily, ModelSpec, constant_map
-from .snapshots import read_snapshot_bin, read_snapshot_csv
+from .snapshots import read_snapshot
 from .state import Control
 
 # every float parameter of the family, keyed by its lower-cased name
@@ -89,16 +89,13 @@ def parse_expression(text, grid, base=None):
             path = Path(base) / path
         if not path.exists():
             raise ConfigError(f"snapshot file not found: {path}")
-        reader = read_snapshot_bin if path.suffix in (".bin", ".tcf") else read_snapshot_csv
         try:
-            fld, _ = reader(path)
+            _, values, _ = read_snapshot(path)
         except (ValueError, OSError) as e:
             raise ConfigError(f"unreadable snapshot {path}: {e}") from e
-        if fld.values.shape != grid.shape:
-            raise ConfigError(
-                f"snapshot {path} has shape {fld.values.shape}, grid wants {grid.shape}"
-            )
-        return fld.values
+        if values.shape != grid.shape:
+            raise ConfigError(f"snapshot {path} has shape {values.shape}, grid wants {grid.shape}")
+        return values
     raise ConfigError(f"unknown field expression kind {head!r} in {text!r}")
 
 
@@ -323,6 +320,9 @@ def load_config(path) -> RunConfig:
         c_ad=s_adm.get_float("c_ad", np.inf),
     )
     _validated(admissible.validate)
+    step0 = s_opt.get_float("step0", 1.0)
+    if step0 <= 0:
+        raise ConfigError(f"[optimizer] step0 must be positive, got {step0}")
 
     fmt = s_out.get_str("format", "csv")
     if fmt not in ("csv", "bin"):
@@ -346,7 +346,7 @@ def load_config(path) -> RunConfig:
         base=path.parent,
         weights=weights,
         admissible=admissible,
-        step0=s_opt.get_float("step0", 1.0),
+        step0=step0,
         tol=s_opt.get_float("tol", 1e-6),
         max_iters=s_opt.get_int("max_iters", 100),
         outdir=Path(s_out.get_str("directory", "out")),

@@ -269,9 +269,6 @@ class Grid:
         datum = np.broadcast_to(np.asarray(datum, dtype=float), self.shape)
         return (self.robin_coeff * datum.ravel()).reshape(self.shape)
 
-    def laplacian_robin(self, f, datum):
-        return self.robin_linear(f) + self.robin_source(datum)
-
     def grad(self, f):
         """(gx, gy) on a new leading axis, of f or of each level of a stack f."""
         f = self._check_levels(f)
@@ -350,23 +347,10 @@ class Grid:
     def norm_l2(self, f):
         return float(np.sqrt(max(self.inner(f, f), 0.0)))
 
-    def inner_vec(self, a, b):
-        a = self._check(a, comps=2)
-        b = self._check(b, comps=2)
-        return float(self.vector_weights @ (a.ravel() * b.ravel()))
-
     def norm_h1_vec(self, u):
         u = self._check(u, comps=2)
         gx, gy = self.grad(u)
         return float(np.sqrt(self.integrate_levels(u * u + gx * gx + gy * gy).sum()))
-
-    def inner_tensor(self, a, b):
-        a = self._check(a, comps=3)
-        b = self._check(b, comps=3)
-        return float(self.quad_weights @ tensor_dot(a, b).ravel())
-
-    def norm_l2_tensor(self, s):
-        return float(np.sqrt(max(self.inner_tensor(s, s), 0.0)))
 
 
 def stress_from_strain(mu, lam, eps):
@@ -376,36 +360,4 @@ def stress_from_strain(mu, lam, eps):
     s[0] += tr
     s[1] += tr
     return s
-
-
-# -- field carriers ----------------------------------------------------------
-
-
-@dataclass
-class ScalarField:
-    """One real value per grid node, a single time level of phi, sigma or z."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = self.grid._check(self.values)
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def full(cls, grid, value):
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        x, y = grid.meshes
-        return cls(grid, np.asarray(fn(x, y), dtype=float) + np.zeros(grid.shape))
-
-    def validate(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("scalar field contains non-finite entries")
-        return self
 

@@ -178,8 +178,6 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
     K = traj.n_steps
     if direction.n_steps != K:
         raise ValueError("direction defined on a different number of steps")
-    if traj.control is None:
-        raise ValueError("trajectory carries no control; solve_state stores it")
     chi1, chi2 = traj.control.chi1, traj.control.chi2
     tau = traj.tau
     shape = g.shape

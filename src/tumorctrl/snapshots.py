@@ -3,29 +3,30 @@
 Text snapshots carry a single header line ``# nx,ny,hx,hy,t`` followed by
 one comma-separated line per grid row in row-major order.  Values are
 written with %.17g so a text round trip reproduces the doubles exactly.
+Writers take (path, grid, values, t) and readers return (grid, values, t).
 
 Binary snapshots are little-endian: magic ``TCF1``, u32 nx, u32 ny,
 f64 hx, f64 hy, f64 t, then the node values as f64 in row-major order.
 """
 import struct
+from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, ScalarField
+from .grid import Grid
 
 _MAGIC = b"TCF1"
 _HEADER = struct.Struct("<IIddd")
 _FMT = "%.17g"
 
 
-def write_snapshot_csv(path, field, t=0.0):
-    g = field.grid
+def write_snapshot_csv(path, grid, values, t=0.0):
+    if values.shape != grid.shape:
+        raise ValueError(f"{path}: values {values.shape} do not match grid {grid.shape}")
+    row = ",".join([_FMT] * (grid.nx + 1)) + "\n"
     with open(path, "w") as fh:
-        fh.write(
-            "# %d,%d,%s,%s,%s\n" % (g.nx, g.ny, _FMT % g.hx, _FMT % g.hy, _FMT % t)
-        )
-        for row in field.values:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+        fh.write("# %d,%d,%.17g,%.17g,%.17g\n" % (grid.nx, grid.ny, grid.hx, grid.hy, t))
+        fh.writelines(row % tuple(r) for r in values.tolist())
 
 
 def read_snapshot_csv(path):
@@ -45,15 +46,16 @@ def read_snapshot_csv(path):
     grid = Grid(nx, ny, hx, hy)
     if values.shape != grid.shape:
         raise ValueError(f"{path}: {values.shape} values for grid {grid.shape}")
-    return ScalarField(grid, values), t
+    return grid, values, t
 
 
-def write_snapshot_bin(path, field, t=0.0):
-    g = field.grid
+def write_snapshot_bin(path, grid, values, t=0.0):
+    if values.shape != grid.shape:
+        raise ValueError(f"{path}: values {values.shape} do not match grid {grid.shape}")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(_HEADER.pack(g.nx, g.ny, g.hx, g.hy, t))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(_HEADER.pack(grid.nx, grid.ny, grid.hx, grid.hy, t))
+        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
 def read_snapshot_bin(path):
@@ -70,7 +72,23 @@ def read_snapshot_bin(path):
         if data.size != count:
             raise ValueError(f"{path}: truncated payload")
     grid = Grid(nx, ny, hx, hy)
-    return ScalarField(grid, data.reshape(grid.shape).copy()), t
+    return grid, data.reshape(grid.shape).copy(), t
+
+
+def read_snapshot(path):
+    """Read a binary snapshot for a .bin or .tcf suffix, a text one otherwise."""
+    reader = read_snapshot_bin if Path(path).suffix in (".bin", ".tcf") else read_snapshot_csv
+    return reader(path)
+
+
+def write_snapshots(outdir, grid, n, t, named, fmt="csv"):
+    """Write level n of each (name, values) pair as {name}_{n:05d}.csv, or .tcf for bin.
+
+    The writers are looked up by name at each call, so rebinding them reaches every snapshot.
+    """
+    write, ext = (write_snapshot_csv, "csv") if fmt == "csv" else (write_snapshot_bin, "tcf")
+    for name, values in named:
+        write(Path(outdir) / f"{name}_{n:05d}.{ext}", grid, values, t)
 
 
 def write_manifest(path, entries):

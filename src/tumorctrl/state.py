@@ -23,7 +23,7 @@ import scipy.sparse as sps
 from . import model as mdl
 from .errors import SeparationError, SolverError
 from .linalg import cg_solve, factorize, separable_solver
-from .snapshots import write_manifest, write_snapshot_bin, write_snapshot_csv
+from .snapshots import write_manifest, write_snapshots
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,8 @@ class Control:
         """Check shapes and finiteness, and with grid given its node shape."""
         if self.chi1.shape != self.chi2.shape or self.chi1.ndim != 3:
             raise ValueError("control components need matching (K+1, ny+1, nx+1) shapes")
+        if self.chi1.shape[0] < 2:
+            raise ValueError(f"control needs at least 2 time levels, got {self.chi1.shape[0]}")
         if grid is not None and self.chi1.shape[1:] != grid.shape:
             raise ValueError(
                 f"control is defined on nodes {self.chi1.shape[1:]}, the grid has {grid.shape}"
@@ -96,8 +98,8 @@ class StateTrajectory:
     u: np.ndarray
     eps_u: np.ndarray
     z: np.ndarray
+    control: Control
     diagnostics: Optional[Diagnostics] = None
-    control: Optional[Control] = None
 
     @property
     def n_steps(self):
@@ -349,18 +351,12 @@ def save_trajectory(traj: StateTrajectory, outdir, fmt="csv", every=1):
     """Write per-node field snapshots plus a run manifest."""
     from pathlib import Path
 
-    from .grid import ScalarField
-
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    write = write_snapshot_csv if fmt == "csv" else write_snapshot_bin
-    ext = "csv" if fmt == "csv" else "tcf"
     for n in range(0, traj.n_steps + 1, every):
-        t = float(traj.times[n])
-        for name, arr in (("phi", traj.phi[n]), ("sigma", traj.sigma[n]), ("z", traj.z[n])):
-            write(out / f"{name}_{n:05d}.{ext}", ScalarField(traj.grid, arr), t)
-        for comp, arr in (("ux", traj.u[n, 0]), ("uy", traj.u[n, 1])):
-            write(out / f"{comp}_{n:05d}.{ext}", ScalarField(traj.grid, arr), t)
+        named = (("phi", traj.phi[n]), ("sigma", traj.sigma[n]), ("z", traj.z[n]),
+                 ("ux", traj.u[n, 0]), ("uy", traj.u[n, 1]))
+        write_snapshots(out, traj.grid, n, float(traj.times[n]), named, fmt)
     info = {
         "n_steps": str(traj.n_steps),
         "tau": f"{traj.tau:.17g}",

@@ -64,8 +64,8 @@ def test_zero_scenario_runs_clean(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     for name in ("phi_00006", "sigma_00006", "ux_00006"):
-        fld, _ = read_snapshot_csv(tmp_path / "out" / f"{name}.csv")
-        assert np.all(fld.values == 0.0)
+        _, values, _ = read_snapshot_csv(tmp_path / "out" / f"{name}.csv")
+        assert np.all(values == 0.0)
 
 
 def test_zero_initial_damage_rejected(tmp_path, capsys):
@@ -138,6 +138,15 @@ def test_infeasible_box_is_config_error(tmp_path, capsys):
     rc = main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "boxes are empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step0", ["0", "-5"])
+def test_nonpositive_step0_is_config_error(tmp_path, capsys, step0):
+    cfg = write_cfg(tmp_path, f"[optimizer]\nstep0 = {step0}\n")
+    rc = main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "step0 must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_separation_prints_closed_form_radii(tmp_path, capsys):

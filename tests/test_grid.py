@@ -4,7 +4,6 @@ import pytest
 
 from tumorctrl.grid import (
     Grid,
-    ScalarField,
     stress_from_strain,
     tensor_dot,
 )
@@ -109,7 +108,7 @@ def test_robin_source_hand_computed_4x4():
     # ghost layer leaves 2/h per boundary direction, so 8 on edges and 16
     # where two directions meet
     g = Grid.unit(4, 4)
-    out = g.laplacian_robin(np.zeros(g.shape), 1.0)
+    out = g.robin_linear(np.zeros(g.shape)) + g.robin_source(1.0)
     expected = np.zeros(g.shape)
     expected[0, :] = expected[-1, :] = 8.0
     expected[:, 0] = expected[:, -1] = 8.0
@@ -122,7 +121,7 @@ def test_robin_source_hand_computed_4x4():
 def test_robin_equilibrium_is_zero():
     g = Grid.unit(7, 9)
     m = 0.42
-    out = g.laplacian_robin(np.full(g.shape, m), m)
+    out = g.robin_linear(np.full(g.shape, m)) + g.robin_source(m)
     assert np.abs(out).max() < 1e-11
 
 
@@ -140,7 +139,7 @@ def test_robin_exact_on_biquadratic_with_flux():
     datum[:, -1] += fx[:, -1]
     datum[0, :] += -fy[0, :]
     datum[-1, :] += fy[-1, :]
-    err = np.abs(g.laplacian_robin(f, datum) - lap)
+    err = np.abs(g.robin_linear(f) + g.robin_source(datum) - lap)
     err[0, 0] = err[0, -1] = err[-1, 0] = err[-1, -1] = 0.0
     assert err.max() < 1e-10
 
@@ -152,7 +151,7 @@ def test_robin_trig_error_frozen_and_second_order():
         x, y = g.meshes
         f = 1.5 + np.cos(np.pi * x) * np.cos(np.pi * y)
         exact = -2 * np.pi**2 * (f - 1.5)
-        errs[n] = np.abs(g.laplacian_robin(f, f) - exact).max()
+        errs[n] = np.abs(g.robin_linear(f) + g.robin_source(f) - exact).max()
     assert errs[16] == pytest.approx(ROBIN_TRIG_ERR_16, rel=1e-6)
     assert errs[32] == pytest.approx(ROBIN_TRIG_ERR_32, rel=1e-6)
     assert 3.6 < errs[16] / errs[32] < 4.4
@@ -225,9 +224,9 @@ def test_div_stress_is_exact_negative_transpose():
     for _ in range(20):
         s = rng.standard_normal((3,) + g.shape)
         w = random_interior_vector(g, rng)
-        lhs = g.inner_vec(g.div_stress(s), w)
-        rhs = -g.inner_tensor(s, g.sym_grad(w))
-        scale = g.norm_l2_tensor(s) * g.norm_h1_vec(w) + 1.0
+        lhs = g.integrate_levels(g.div_stress(s) * w).sum()
+        rhs = -g.integrate(tensor_dot(s, g.sym_grad(w)))
+        scale = np.sqrt(g.integrate(tensor_dot(s, s))) * g.norm_h1_vec(w) + 1.0
         assert abs(lhs - rhs) < 1e-12 * scale
 
 
@@ -316,56 +315,76 @@ def test_shape_mismatch_raises():
         Grid.unit(1, 6)
 
 
-def test_field_validation():
-    g = Grid.unit(5, 5)
-    f = ScalarField.full(g, 1.0)
-    f.validate()
-    f.values[2, 2] = np.nan
-    with pytest.raises(ValueError):
-        f.validate()
-
-
-def test_scalar_field_from_function():
-    g = Grid.unit(6, 4, lx=2.0)
-    f = ScalarField.from_function(g, lambda x, y: x + 2 * y)
-    assert f.values[0, -1] == pytest.approx(2.0)
-    assert f.values[-1, 0] == pytest.approx(2.0)
-
-
 # -- snapshots ---------------------------------------------------------------
 
 
 def test_binary_snapshot_round_trip_lossless(tmp_path):
     g = Grid.unit(7, 5, lx=1.1, ly=0.9)
     rng = np.random.default_rng(14)
-    f = ScalarField(g, rng.standard_normal(g.shape))
+    f = rng.standard_normal(g.shape)
     p = tmp_path / "f.tcf"
-    snapshots.write_snapshot_bin(p, f, t=0.625)
-    f2, t = snapshots.read_snapshot_bin(p)
+    snapshots.write_snapshot_bin(p, g, f, t=0.625)
+    g2, f2, t = snapshots.read_snapshot_bin(p)
     assert t == 0.625
-    assert f2.grid == g
-    assert np.array_equal(f2.values, f.values)
+    assert g2 == g
+    assert np.array_equal(f2, f)
 
 
 def test_csv_snapshot_round_trip_lossless(tmp_path):
     g = Grid.unit(6, 8)
     rng = np.random.default_rng(15)
-    f = ScalarField(g, rng.standard_normal(g.shape) * 1e3)
+    f = rng.standard_normal(g.shape) * 1e3
     p = tmp_path / "f.csv"
-    snapshots.write_snapshot_csv(p, f, t=1.0 / 3.0)
-    f2, t = snapshots.read_snapshot_csv(p)
+    snapshots.write_snapshot_csv(p, g, f, t=1.0 / 3.0)
+    g2, f2, t = snapshots.read_snapshot_csv(p)
     assert t == pytest.approx(1.0 / 3.0, abs=0)
-    assert np.array_equal(f2.values, f.values)
+    assert g2 == g
+    assert np.array_equal(f2, f)
+
+
+def test_csv_snapshot_bytes(tmp_path):
+    # one "%.17g" per value, comma separated, one line per grid row
+    g = Grid(3, 2, 0.1, 0.7)
+    f = np.random.default_rng(16).standard_normal(g.shape)
+    p = tmp_path / "f.csv"
+    snapshots.write_snapshot_csv(p, g, f, t=0.3)
+    want = "# 3,2,%.17g,%.17g,%.17g\n" % (0.1, 0.7, 0.3)
+    want += "".join(",".join("%.17g" % v for v in row) + "\n" for row in f)
+    assert p.read_bytes() == want.encode()
+
+
+def test_snapshot_writers_reject_wrong_shape(tmp_path):
+    g = Grid.unit(4, 3)
+    for write in (snapshots.write_snapshot_csv, snapshots.write_snapshot_bin):
+        with pytest.raises(ValueError):
+            write(tmp_path / "f", g, np.zeros((g.shape[0], g.shape[1] + 1)))
+
+
+def test_write_snapshots_names_and_formats(tmp_path):
+    g = Grid.unit(4, 4)
+    a, b = np.zeros(g.shape), np.ones(g.shape)
+    (tmp_path / "c").mkdir()
+    (tmp_path / "t").mkdir()
+    snapshots.write_snapshots(tmp_path / "c", g, 7, 0.25, (("a", a), ("b", b)), "csv")
+    snapshots.write_snapshots(tmp_path / "t", g, 12345, 0.5, (("a", a),), "bin")
+    assert sorted(f.name for f in (tmp_path / "c").iterdir()) == ["a_00007.csv", "b_00007.csv"]
+    assert [f.name for f in (tmp_path / "t").iterdir()] == ["a_12345.tcf"]
+    assert (tmp_path / "t" / "a_12345.tcf").read_bytes()[:4] == b"TCF1"
+    g2, back, t = snapshots.read_snapshot(tmp_path / "c" / "b_00007.csv")
+    assert (g2, t) == (g, 0.25) and np.array_equal(back, b)
+    g2, back, t = snapshots.read_snapshot(tmp_path / "t" / "a_12345.tcf")
+    assert (g2, t) == (g, 0.5) and np.array_equal(back, a)
 
 
 def test_csv_and_binary_agree(tmp_path):
     g = Grid.unit(4, 4)
-    f = ScalarField.from_function(g, lambda x, y: np.sin(x) * np.cos(y))
-    snapshots.write_snapshot_csv(tmp_path / "a.csv", f, t=0.5)
-    snapshots.write_snapshot_bin(tmp_path / "a.tcf", f, t=0.5)
-    fa, _ = snapshots.read_snapshot_csv(tmp_path / "a.csv")
-    fb, _ = snapshots.read_snapshot_bin(tmp_path / "a.tcf")
-    assert np.abs(fa.values - fb.values).max() <= 1e-12
+    x, y = g.meshes
+    f = np.sin(x) * np.cos(y)
+    snapshots.write_snapshot_csv(tmp_path / "a.csv", g, f, t=0.5)
+    snapshots.write_snapshot_bin(tmp_path / "a.tcf", g, f, t=0.5)
+    _, fa, _ = snapshots.read_snapshot_csv(tmp_path / "a.csv")
+    _, fb, _ = snapshots.read_snapshot_bin(tmp_path / "a.tcf")
+    assert np.abs(fa - fb).max() <= 1e-12
 
 
 def test_snapshot_bad_header(tmp_path):

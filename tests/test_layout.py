@@ -1,5 +1,6 @@
 """Source hygiene: package modules reach each other only by public names,
-and every factorization (sparse LU or eigendecomposition) stays in linalg."""
+every factorization (sparse LU or eigendecomposition) stays in linalg, and
+only snapshots picks a snapshot file's reader or writer."""
 import ast
 from pathlib import Path
 
@@ -32,3 +33,17 @@ def test_only_linalg_factorizes():
             names += [node.attr] if isinstance(node, ast.Attribute) else []
             offenders += [f"{path.name}:{node.lineno}: {n}" for n in names if n in ("splu", "eigh")]
     assert not offenders, "factorization outside linalg:\n" + "\n".join(offenders)
+
+
+def test_only_snapshots_picks_the_snapshot_format():
+    formats = ("write_snapshot_csv", "write_snapshot_bin", "read_snapshot_csv", "read_snapshot_bin")
+    offenders = []
+    for path in sorted(Path(tumorctrl.__file__).parent.glob("*.py")):
+        if path.name == "snapshots.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            names += [node.id] if isinstance(node, ast.Name) else []
+            names += [node.attr] if isinstance(node, ast.Attribute) else []
+            offenders += [f"{path.name}:{node.lineno}: {n}" for n in names if n in formats]
+    assert not offenders, "snapshot format chosen outside snapshots:\n" + "\n".join(offenders)

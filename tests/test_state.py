@@ -532,9 +532,9 @@ def test_save_trajectory_round_trip(tmp_path):
     info = read_manifest(out / "run.manifest")
     assert info["n_steps"] == "4"
     assert info["sigma_cap_heuristic"] == "true"
-    f, t = read_snapshot_csv(out / "phi_00004.csv")
+    _, f, t = read_snapshot_csv(out / "phi_00004.csv")
     assert t == pytest.approx(traj.times[-1])
-    assert np.array_equal(f.values, traj.phi[4])
+    assert np.array_equal(f, traj.phi[4])
 
 
 def test_control_validation():
@@ -548,6 +548,11 @@ def test_control_validation():
     nan.chi1[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         nan.validate()
+
+
+def test_solve_state_rejects_zero_step_control(small_spec):
+    with pytest.raises(ValueError, match="at least 2 time levels, got 1"):
+        solve_state(Control.zeros(small_spec.grid, 0), small_spec)
 
 
 def test_solve_state_rejects_mismatched_grid(small_spec):
