@@ -30,7 +30,7 @@ from .model import (
     check_hypotheses,
     separation_bounds,
 )
-from .state import Control, StateTrajectory, save_trajectory, solve_state
+from .state import Control, Diagnostics, StateTrajectory, march, save_trajectory, solve_state
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,7 @@ __all__ = [
     "Control",
     "CostWeights",
     "DefaultLogisticFamily",
+    "Diagnostics",
     "DomainError",
     "Grid",
     "ModelSpec",
@@ -56,6 +57,7 @@ __all__ = [
     "duality_residual",
     "eval_cost",
     "load_config",
+    "march",
     "optimize",
     "project_admissible",
     "reduced_gradient",

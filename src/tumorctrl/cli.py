@@ -27,8 +27,8 @@ from .control import control_inner, fd_directional, optimize, reduced_gradient, 
 from .errors import ConfigError, DomainError, SeparationError, SolverError
 from .linearized import taylor_test
 from .presets import ode_rhs
-from .snapshots import write_history, write_snapshots
-from .state import Control, save_trajectory, solve_state
+from .snapshots import write_history, write_manifest, write_snapshots
+from .state import Control, Diagnostics, march, run_manifest, snapshot_fields, solve_state
 
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_SOLVER = 0, 1, 2, 3
 
@@ -70,14 +70,31 @@ def cmd_simulate(cfg, args):
     if not _gate_passes(cfg):
         return EXIT_FAIL
     sb = cfg.spec.separation
+    spec, control, grid = cfg.spec, cfg.control0, cfg.spec.grid
+    times = np.linspace(0.0, spec.T, control.n_steps + 1)
+    exact = _ode_oracle(cfg, times) if args.oracle else None
 
-    traj = solve_state(cfg.control0, cfg.spec)
-    out = save_trajectory(traj, cfg.outdir, fmt=cfg.fmt, every=cfg.stride)
-    d = traj.diagnostics
+    # snapshots are written as the march runs and the manifest last, so a
+    # directory without run.manifest holds the levels of a failed run
+    out = Path(cfg.outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "run.manifest").unlink(missing_ok=True)
+    d = Diagnostics.empty(control, spec)
+    lo, hi, oracle_err = np.full(3, np.inf), np.full(3, -np.inf), 0.0
+    for n, (phi, sigma, u, _, z) in enumerate(march(control, spec, d)):
+        if n % cfg.stride == 0:
+            named = snapshot_fields(phi, sigma, u, z)
+            write_snapshots(out, grid, n, float(times[n]), named, cfg.fmt)
+        lo = np.minimum(lo, [phi.min(), sigma.min(), z.min()])
+        hi = np.maximum(hi, [phi.max(), sigma.max(), z.max()])
+        if exact is not None:
+            oracle_err = max(oracle_err, float(np.abs(phi - exact[0, n]).max()),
+                             float(np.abs(z - exact[1, n]).max()))
+    write_manifest(out / "run.manifest", run_manifest(grid, times, cfg.fmt, d))
 
-    viol_phi = max(0.0, float(-traj.phi.min()), float(traj.phi.max() - cfg.spec.N))
-    viol_sig = max(0.0, float(-traj.sigma.min()), float(traj.sigma.max() - d.sigma_cap))
-    zmin, zmax = float(traj.z.min()), float(traj.z.max())
+    viol_phi = max(0.0, float(-lo[0]), float(hi[0] - spec.N))
+    viol_sig = max(0.0, float(-lo[1]), float(hi[1] - d.sigma_cap))
+    zmin, zmax = float(lo[2]), float(hi[2])
     contained = sb.r_low - 1e-12 <= zmin and zmax <= sb.r_high + 1e-12
 
     print(f"wrote {out}")
@@ -95,7 +112,8 @@ def cmd_simulate(cfg, args):
         f"{'contained' if contained else 'VIOLATED'}"
     )
     if args.oracle:
-        _ode_oracle_report(cfg, traj)
+        print(f"pointwise oracle: sup error {oracle_err:.6e} over {len(times)} time levels "
+              f"(step {float(times[1] - times[0]):.3e})")
 
     ok = viol_phi <= 1e-9 and viol_sig <= 1e-9 and contained
     print("simulate: " + ("PASS" if ok else "FAIL"))
@@ -129,8 +147,8 @@ def _oracle_preflight(cfg):
         )
 
 
-def _ode_oracle_report(cfg, traj):
-    """Compare the homogeneous run against a stiff pointwise integration."""
+def _ode_oracle(cfg, times):
+    """Stiff pointwise integration of the homogeneous run; rows phi and z at times."""
     from scipy.integrate import solve_ivp
 
     spec = cfg.spec
@@ -141,17 +159,12 @@ def _ode_oracle_report(cfg, traj):
         ode_rhs(spec, sg, chi1),
         (0.0, spec.T),
         [ph0, z0],
-        t_eval=traj.times,
+        t_eval=times,
         method="LSODA",
         rtol=1e-11,
         atol=1e-13,
     )
-    err = max(
-        float(np.abs(traj.phi - sol.y[0, :, None, None]).max()),
-        float(np.abs(traj.z - sol.y[1, :, None, None]).max()),
-    )
-    print(f"pointwise oracle: sup error {err:.6e} over {traj.n_steps + 1} time levels "
-          f"(step {traj.tau:.3e})")
+    return sol.y
 
 
 def cmd_gradient_check(cfg, args):
@@ -261,8 +274,9 @@ def cmd_separation(cfg, args):
     print(f"barrier roots before widening: {sb.root_low:.5f} / {sb.root_high:.5f}")
     print(f"certified interval: [{sb.r_low:.6g}, {sb.r_high:.6g}]")
 
-    traj = solve_state(cfg.control0, cfg.spec)
-    zmin, zmax = float(traj.z.min()), float(traj.z.max())
+    zmin, zmax = np.inf, -np.inf
+    for *_, z in march(cfg.control0, cfg.spec, Diagnostics.empty(cfg.control0, cfg.spec)):
+        zmin, zmax = min(zmin, float(z.min())), max(zmax, float(z.max()))
     contained = sb.r_low - 1e-12 <= zmin and zmax <= sb.r_high + 1e-12
     print(f"simulated damage range: [{zmin:.6g}, {zmax:.6g}] -> "
           f"{'contained' if contained else 'VIOLATED'}")

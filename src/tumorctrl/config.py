@@ -24,6 +24,7 @@ resolution (`at_scale`), used by the refinement studies; snapshot-file
 fields cannot be rescaled and reject that path.
 """
 import configparser
+import math
 from dataclasses import dataclass, fields, replace as dc_replace
 from pathlib import Path
 from typing import Optional
@@ -90,11 +91,18 @@ def parse_expression(text, grid, base=None):
         if not path.exists():
             raise ConfigError(f"snapshot file not found: {path}")
         try:
-            _, values, _ = read_snapshot(path)
+            snap, values, _ = read_snapshot(path)
         except (ValueError, OSError) as e:
             raise ConfigError(f"unreadable snapshot {path}: {e}") from e
         if values.shape != grid.shape:
             raise ConfigError(f"snapshot {path} has shape {values.shape}, grid wants {grid.shape}")
+        # a hand-written text header may round the cell sizes
+        if not (math.isclose(snap.hx, grid.hx, rel_tol=1e-9)
+                and math.isclose(snap.hy, grid.hy, rel_tol=1e-9)):
+            raise ConfigError(
+                f"snapshot {path} has cell sizes {snap.hx:.6g} x {snap.hy:.6g}, "
+                f"grid wants {grid.hx:.6g} x {grid.hy:.6g}"
+            )
         return values
     raise ConfigError(f"unknown field expression kind {head!r} in {text!r}")
 
@@ -323,6 +331,12 @@ def load_config(path) -> RunConfig:
     step0 = s_opt.get_float("step0", 1.0)
     if step0 <= 0:
         raise ConfigError(f"[optimizer] step0 must be positive, got {step0}")
+    tol = s_opt.get_float("tol", 1e-6)
+    if tol < 0:
+        raise ConfigError(f"[optimizer] tol must be non-negative, got {tol}")
+    max_iters = s_opt.get_int("max_iters", 100)
+    if max_iters < 1:
+        raise ConfigError(f"[optimizer] max_iters must be at least 1, got {max_iters}")
 
     fmt = s_out.get_str("format", "csv")
     if fmt not in ("csv", "bin"):
@@ -347,8 +361,8 @@ def load_config(path) -> RunConfig:
         weights=weights,
         admissible=admissible,
         step0=step0,
-        tol=s_opt.get_float("tol", 1e-6),
-        max_iters=s_opt.get_int("max_iters", 100),
+        tol=tol,
+        max_iters=max_iters,
         outdir=Path(s_out.get_str("directory", "out")),
         stride=stride,
         fmt=fmt,

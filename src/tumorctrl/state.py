@@ -12,6 +12,12 @@ log the pre-clamp excess; the excess is O(tau) and halving the step about
 halves it, so the committed error is measurable and refinable.  The
 lactate cap is a monitored heuristic, not a proven constant: it combines
 the data cap with the worst-case production the control can drive.
+
+march is the time loop as a generator: it yields one time level at a time
+and keeps only the current one, so a consumer that reduces or writes each
+level as it arrives (the simulate and separation commands) never holds the
+trajectory.  solve_state collects the same levels into a StateTrajectory
+for the sweeps that read every level back (tangent, adjoint, cost).
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,7 +70,7 @@ class Control:
 
 @dataclass
 class Diagnostics:
-    """Per-step solver health indicators collected by solve_state."""
+    """Per-step solver health indicators filled in by march."""
 
     phi_clamp: np.ndarray
     sigma_clamp: np.ndarray
@@ -74,6 +80,29 @@ class Diagnostics:
     sigma_cap_heuristic: bool
     z_window: Optional[tuple]
     z_excess: float
+
+    @classmethod
+    def empty(cls, control, spec):
+        """Zeroed record for a march of control, which is checked against spec's grid.
+
+        Only the lactate cap and the certified damage window are set.
+        """
+        K = control.validate(spec.grid).n_steps
+        try:
+            sep = spec.separation
+            window = (sep.r_low, sep.r_high)
+        except SeparationError:
+            window = None
+        return cls(
+            phi_clamp=np.zeros(K),
+            sigma_clamp=np.zeros(K),
+            newton_iters=np.zeros(K, dtype=int),
+            cg_u=np.zeros(K, dtype=int),
+            sigma_cap=sigma_cap_for(spec, control),
+            sigma_cap_heuristic=True,
+            z_window=window,
+            z_excess=0.0,
+        )
 
     def summary(self):
         return {
@@ -286,57 +315,55 @@ def sigma_cap_for(spec, control) -> float:
     return max(spec.M0, float(spec.sigma0.max())) + spec.T * drive * spec.bounds.S_star
 
 
-def solve_state(control: Control, spec) -> StateTrajectory:
-    """March the four-field system from the initial data to time T."""
-    g = spec.grid
-    control.validate(g)
-    K = control.n_steps
-    tau = spec.T / K
-    shape = g.shape
+def march(control: Control, spec, diagnostics: Diagnostics):
+    """March the four-field system from the initial data to time T, level by level.
 
-    times = np.linspace(0.0, spec.T, K + 1)
-    phi = np.empty((K + 1,) + shape)
+    Yields (phi, sigma, u, eps_u, z) at time levels 0..K and keeps only the
+    current level.  Each level comes in new arrays that the next step reads,
+    so a consumer may keep them but writes only to copies.  diagnostics is
+    Diagnostics.empty(control, spec); step n fills entry n of its per-step
+    arrays, and z_excess is set from the damage range over levels 1..K once
+    the march is exhausted.
+    """
+    g = spec.grid
+    K = control.n_steps
+    d = diagnostics
+    ops = step_operators(spec, spec.T / K)
+
+    phi, sigma, z = (np.full(g.shape, f, dtype=float) for f in (spec.phi0, spec.sigma0, spec.z0))
+    u = np.full((2,) + g.shape, spec.u0, dtype=float)
+    eps_u = g.sym_grad(u)
+    yield phi, sigma, u, eps_u, z
+
+    zmin, zmax = np.inf, -np.inf
+    for n in range(K):
+        phi_new, d.phi_clamp[n] = step_phi(phi, sigma, z, control.chi1[n], ops, spec)
+        sigma, d.sigma_clamp[n] = step_sigma(sigma, phi, z, control.chi2[n], d.sigma_cap, ops, spec)
+        phi = phi_new
+        u, eps_u, d.cg_u[n] = step_u(u, phi, z, ops, spec)
+        z, d.newton_iters[n] = step_z(z, phi, eps_u, ops, spec)
+        zmin, zmax = min(zmin, float(z.min())), max(zmax, float(z.max()))
+        yield phi, sigma, u, eps_u, z
+    if d.z_window is not None:
+        d.z_excess = max(0.0, d.z_window[0] - zmin, zmax - d.z_window[1])
+
+
+def solve_state(control: Control, spec) -> StateTrajectory:
+    """March the four-field system to time T and keep every level."""
+    g = spec.grid
+    K = control.n_steps
+    d = Diagnostics.empty(control, spec)
+    phi = np.empty((K + 1,) + g.shape)
     sigma = np.empty_like(phi)
     z = np.empty_like(phi)
-    u = np.empty((K + 1, 2) + shape)
-    eps_u = np.empty((K + 1, 3) + shape)
-    phi[0], sigma[0], z[0] = spec.phi0, spec.sigma0, spec.z0
-    u[0] = spec.u0
-    eps_u[0] = g.sym_grad(spec.u0)
-
-    cap = sigma_cap_for(spec, control)
-    try:
-        sep = spec.separation
-        window = (sep.r_low, sep.r_high)
-    except SeparationError:
-        window = None
-
-    d = Diagnostics(
-        phi_clamp=np.zeros(K),
-        sigma_clamp=np.zeros(K),
-        newton_iters=np.zeros(K, dtype=int),
-        cg_u=np.zeros(K, dtype=int),
-        sigma_cap=cap,
-        sigma_cap_heuristic=True,
-        z_window=window,
-        z_excess=0.0,
-    )
-
-    ops = step_operators(spec, tau)
-
-    for n in range(K):
-        phi[n + 1], d.phi_clamp[n] = step_phi(phi[n], sigma[n], z[n], control.chi1[n], ops, spec)
-        sigma[n + 1], d.sigma_clamp[n] = step_sigma(
-            sigma[n], phi[n], z[n], control.chi2[n], cap, ops, spec
-        )
-        u[n + 1], eps_u[n + 1], d.cg_u[n] = step_u(u[n], phi[n + 1], z[n], ops, spec)
-        z[n + 1], d.newton_iters[n] = step_z(z[n], phi[n + 1], eps_u[n + 1], ops, spec)
-    if window is not None:
-        d.z_excess = max(0.0, float(window[0] - z[1:].min()), float(z[1:].max() - window[1]))
+    u = np.empty((K + 1, 2) + g.shape)
+    eps_u = np.empty((K + 1, 3) + g.shape)
+    for n, level in enumerate(march(control, spec, d)):
+        phi[n], sigma[n], u[n], eps_u[n], z[n] = level
 
     return StateTrajectory(
         grid=g,
-        times=times,
+        times=np.linspace(0.0, spec.T, K + 1),
         phi=phi,
         sigma=sigma,
         u=u,
@@ -347,6 +374,27 @@ def solve_state(control: Control, spec) -> StateTrajectory:
     )
 
 
+def snapshot_fields(phi, sigma, u, z):
+    """The (name, values) pairs a forward run writes at one time level."""
+    return (("phi", phi), ("sigma", sigma), ("z", z), ("ux", u[0]), ("uy", u[1]))
+
+
+def run_manifest(grid, times, fmt, diagnostics=None):
+    """The run.manifest entries of a forward run on grid at the given time levels."""
+    info = {
+        "n_steps": str(len(times) - 1),
+        "tau": f"{float(times[1] - times[0]):.17g}",
+        "nx": str(grid.nx),
+        "ny": str(grid.ny),
+        "hx": f"{grid.hx:.17g}",
+        "hy": f"{grid.hy:.17g}",
+        "format": fmt,
+    }
+    if diagnostics is not None:
+        info.update(diagnostics.summary())
+    return info
+
+
 def save_trajectory(traj: StateTrajectory, outdir, fmt="csv", every=1):
     """Write per-node field snapshots plus a run manifest."""
     from pathlib import Path
@@ -354,19 +402,7 @@ def save_trajectory(traj: StateTrajectory, outdir, fmt="csv", every=1):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     for n in range(0, traj.n_steps + 1, every):
-        named = (("phi", traj.phi[n]), ("sigma", traj.sigma[n]), ("z", traj.z[n]),
-                 ("ux", traj.u[n, 0]), ("uy", traj.u[n, 1]))
+        named = snapshot_fields(traj.phi[n], traj.sigma[n], traj.u[n], traj.z[n])
         write_snapshots(out, traj.grid, n, float(traj.times[n]), named, fmt)
-    info = {
-        "n_steps": str(traj.n_steps),
-        "tau": f"{traj.tau:.17g}",
-        "nx": str(traj.grid.nx),
-        "ny": str(traj.grid.ny),
-        "hx": f"{traj.grid.hx:.17g}",
-        "hy": f"{traj.grid.hy:.17g}",
-        "format": fmt,
-    }
-    if traj.diagnostics is not None:
-        info.update(traj.diagnostics.summary())
-    write_manifest(out / "run.manifest", info)
+    write_manifest(out / "run.manifest", run_manifest(traj.grid, traj.times, fmt, traj.diagnostics))
     return out

@@ -1,14 +1,17 @@
 """End-to-end command line tests: exit codes, diagnostics, determinism."""
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tumorctrl import adjoint, cli, model, state
 from tumorctrl.cli import main
+from tumorctrl.config import load_config
 from tumorctrl.errors import ConfigError, DomainError, SeparationError, SolverError
-from tumorctrl.snapshots import read_snapshot_csv
+from tumorctrl.grid import Grid
+from tumorctrl.snapshots import read_snapshot_csv, write_snapshot_csv
 
 ZERO_SCENARIO = """
 [grid]
@@ -118,6 +121,16 @@ def test_truncated_binary_snapshot_is_config_error(tmp_path, capsys):
     assert "truncated header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side, code", [(1.0, 0), (3.0, 2)])
+def test_snapshot_cell_size_must_match_the_grid(tmp_path, capsys, side, code):
+    write_snapshot_csv(tmp_path / "phi0.csv", Grid.unit(8, 8, side, side), np.full((9, 9), 0.1))
+    cfg = write_cfg(tmp_path, ZERO_SCENARIO.replace("phi0 = zero", "phi0 = file:phi0.csv"))
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == code
+    if code == 2:
+        assert "cell sizes 0.375 x 0.375, grid wants 0.125 x 0.125" in capsys.readouterr().err
+
+
 def test_help_describes_every_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -146,6 +159,19 @@ def test_nonpositive_step0_is_config_error(tmp_path, capsys, step0):
     rc = main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "step0 must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("max_iters", "0", "max_iters must be at least 1, got 0"),
+    ("max_iters", "-2", "max_iters must be at least 1, got -2"),
+    ("tol", "-1e-6", "tol must be non-negative, got -1e-06"),
+])
+def test_invalid_optimizer_limits_are_config_errors(tmp_path, capsys, key, value, message):
+    text = f"[grid]\nnx = 6\nny = 6\n[time]\nsteps = 4\n[optimizer]\n{key} = {value}\n"
+    rc = main(["optimize", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -288,6 +314,75 @@ def test_separation_bounds_computed_once_per_run(tmp_path, capsys, monkeypatch, 
     main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert f"{command}: " in capsys.readouterr().out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_streamed_simulate_writes_the_saved_trajectory(tmp_path, capsys, fmt):
+    path = write_cfg(tmp_path, OPTIMIZE_SMALL + f"[output]\nstride = 3\nformat = {fmt}\n")
+    streamed, saved = tmp_path / "streamed", tmp_path / "saved"
+    assert main(["simulate", "--config", path, "--out", str(streamed)]) == 0
+    cfg = load_config(path)
+    state.save_trajectory(state.solve_state(cfg.control0, cfg.spec), saved, fmt=fmt, every=3)
+    names = sorted(p.name for p in saved.iterdir())
+    # five fields at levels 0, 3 and 6 of 8, and the manifest
+    assert len(names) == 16 and "run.manifest" in names
+    assert sorted(p.name for p in streamed.iterdir()) == names
+    for name in names:
+        assert (streamed / name).read_bytes() == (saved / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["simulate", "separation"])
+def test_forward_commands_march_without_a_trajectory(tmp_path, capsys, monkeypatch, command):
+    states, marches = record_calls(monkeypatch, state.solve_state, state.march)
+    main([command, "--config", write_cfg(tmp_path, OPTIMIZE_SMALL), "--out", str(tmp_path / "out")])
+    assert f"{command}: PASS" in capsys.readouterr().out
+    assert states == []
+    assert len(marches) == 1
+
+
+def test_solver_error_mid_march_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    step_z, calls = state.step_z, []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise SolverError("z-step Newton did not converge in 50 iterations")
+        return step_z(*args, **kwargs)
+
+    monkeypatch.setattr(state, "step_z", failing)
+    # a manifest left by an earlier run in the same directory must go too
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "run.manifest").write_text("n_steps = 6\n")
+    rc = main(["simulate", "--config", write_cfg(tmp_path, ZERO_SCENARIO), "--out", str(out)])
+    assert rc == 3
+    assert "solver error: z-step Newton" in capsys.readouterr().err
+    assert not (out / "run.manifest").exists()
+    # the levels before the failing step were written as the march ran
+    assert sorted(p.name for p in out.glob("phi_*")) == [f"phi_0000{n}.csv" for n in range(3)]
+
+
+def test_simulate_memory_stays_below_the_trajectory(tmp_path, capsys, monkeypatch):
+    text = "[grid]\nnx = 24\nny = 24\n[time]\nsteps = 400\n[output]\nstride = 100\n"
+    load = cli.load_config
+
+    def traced_load(path):
+        # the config's own dose arrays are allocated before tracing starts
+        cfg = load(path)
+        tracemalloc.start()
+        return cfg
+
+    monkeypatch.setattr(cli, "load_config", traced_load)
+    try:
+        rc = main(["simulate", "--config", write_cfg(tmp_path, text),
+                   "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # phi, sigma, z, two displacement and three strain components per level
+    trajectory = 8 * 8 * 401 * 25 * 25
+    assert peak < trajectory / 4
 
 
 def test_gradient_check_small_config(tmp_path, capsys):

@@ -14,6 +14,8 @@ from tumorctrl.adjoint import CostWeights, Targets, solve_adjoint
 from tumorctrl.linearized import solve_linearized
 from tumorctrl.state import (
     Control,
+    Diagnostics,
+    march,
     save_trajectory,
     sigma_cap_for,
     solve_state,
@@ -514,6 +516,27 @@ def test_invariants_under_stress():
     assert np.abs(traj.u[:, :, traj.grid.boundary_mask]).max() == 0.0
     assert np.array_equal(traj.phi[0], sc.spec.phi0)
     assert np.array_equal(traj.z[0], sc.spec.z0)
+
+
+def test_march_yields_the_levels_solve_state_keeps():
+    sc = bounds_stress_scenario(n_steps=10)
+    traj = solve_state(sc.control, sc.spec)
+    d = Diagnostics.empty(sc.control, sc.spec)
+    levels = [tuple(f.copy() for f in level) for level in march(sc.control, sc.spec, d)]
+    assert len(levels) == traj.n_steps + 1
+    for n, level in enumerate(levels):
+        for name, f in zip(("phi", "sigma", "u", "eps_u", "z"), level):
+            assert np.array_equal(f, getattr(traj, name)[n]), (name, n)
+
+    ref = traj.diagnostics
+    for name in ("phi_clamp", "sigma_clamp", "newton_iters", "cg_u"):
+        assert np.array_equal(getattr(d, name), getattr(ref, name)), name
+    assert d.phi_clamp.max() > 0.0
+    assert (d.sigma_cap, d.sigma_cap_heuristic, d.z_window) == (
+        ref.sigma_cap, ref.sigma_cap_heuristic, ref.z_window)
+    lo, hi = d.z_window
+    assert d.z_excess == ref.z_excess == max(
+        0.0, lo - traj.z[1:].min(), traj.z[1:].max() - hi)
 
 
 def test_sigma_cap_uses_actual_drive(small_spec):
