@@ -110,7 +110,7 @@ def eval_cost(traj: StateTrajectory, weights: CostWeights, targets: Targets, spe
 
     sq = lambda f: g.inner(f, f)
     phi_T, sigma_T, z_T = traj.phi[-1], traj.sigma[-1], traj.z[-1]
-    eps = np.moveaxis(traj.eps_u, 1, 0)
+    eps = traj.strain()
     chi1, chi2 = traj.control.chi1, traj.control.chi2
     parts = {
         "phi-tracking": 0.5 * a[0] * run_quad((traj.phi - targets.phi_track) ** 2),
@@ -135,7 +135,6 @@ class AdjointTrajectory:
     q: np.ndarray
     r: np.ndarray
     v: np.ndarray
-    eps_v: np.ndarray
     s: np.ndarray
 
     @property
@@ -164,7 +163,8 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
     r = np.zeros_like(q)
     s = np.zeros_like(q)
     v = np.zeros((K + 1, 2) + shape)
-    eps_v = np.zeros((K + 1, 3) + shape)
+    # the strain of v at the later level, the only one a backward step reads
+    eps_v = np.zeros((3,) + shape)
     q[K] = a[1] * (traj.phi[K] - targets.phi_final) + a[2]
     r[K] = a[4] * (traj.sigma[K] - targets.sigma_final)
     s[K] = a[7]
@@ -177,19 +177,19 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
         if (K - m) % B == 0:
             # the block holds levels m0..m, consumed downward
             m0 = max(1, m - B + 1)
+            eps_u = traj.strain(m0, m + 1)
             block = assemble_coefficients(
                 traj.phi[m0:m + 1], traj.sigma[m0:m + 1], traj.z[m0:m + 1],
-                np.moveaxis(traj.eps_u[m0:m + 1], 1, 0), chi1[m0:m + 1], chi2[m0:m + 1], spec,
-                step0=m0,
+                eps_u, chi1[m0:m + 1], chi2[m0:m + 1], spec, step0=m0,
             )
         co = block.level(m - m0)
-        ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], traj.eps_u[m]
+        ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], eps_u[:, m - m0]
 
         f_q = (
             co.a1 * q[m]
             + co.b1 * r[m]
             + co.d1 * s[m]
-            - tensor_dot(co.c1, eps_v[m])
+            - tensor_dot(co.c1, eps_v)
             + a[0] * (ph - targets.phi_track)
             + 0.5 * a[5] * spec.gamma.d(ph) * tensor_dot(ee, ee)
         )
@@ -199,12 +199,13 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
         r[m - 1] = ops.robin(r[m] + tau * f_r)
 
         load = gtw @ (co.d2 * s[m] + a[5] * spec.gamma.value(ph) * ee).reshape(3, -1).ravel()
-        v[m - 1], eps_v[m - 1], _ = ops.displace(spec, v[m], load, ph, traj.z[m - 1], "v-step")
+        v[m - 1], eps_v_new, _ = ops.displace(spec, v[m], load, ph, traj.z[m - 1], "v-step")
 
-        f_s = co.a3 * q[m] + co.b3 * r[m] - tensor_dot(co.c2, eps_v[m]) + a[6] * (zz - targets.z_track)
+        f_s = co.a3 * q[m] + co.b3 * r[m] - tensor_dot(co.c2, eps_v) + a[6] * (zz - targets.z_track)
         s[m - 1], _ = ops.damage(1.0 - tau * co.d3, s[m] + tau * f_s, "s-step", x0=s[m])
+        eps_v = eps_v_new
 
-    return AdjointTrajectory(grid=g, times=traj.times.copy(), q=q, r=r, v=v, eps_v=eps_v, s=s)
+    return AdjointTrajectory(grid=g, times=traj.times.copy(), q=q, r=r, v=v, s=s)
 
 
 def duality_residual(traj, lin, adj, direction, weights: CostWeights, targets: Targets, spec):
@@ -218,7 +219,7 @@ def duality_residual(traj, lin, adj, direction, weights: CostWeights, targets: T
     a = weights.as_array()
     K = traj.n_steps
     tw = traj.tau * trapezoid_weights(K)
-    eps = np.moveaxis(traj.eps_u, 1, 0)
+    eps = traj.strain()
 
     a4, b4 = dose_coefficients(traj.phi, traj.z, spec)
     lhs = float(tw @ g.integrate_levels(a4 * direction.chi1 * adj.q + b4 * direction.chi2 * adj.r))

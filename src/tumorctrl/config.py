@@ -236,10 +236,11 @@ class RunConfig:
 
         n_steps = self.n_steps << m
         shape = (n_steps + 1,) + grid.shape
+        # doses are constant in time: read-only views of one level each
         e1, e2 = self.ctl_expr
         control0 = Control(
-            np.broadcast_to(parse_expression(e1, grid, self.base), shape).copy(),
-            np.broadcast_to(parse_expression(e2, grid, self.base), shape).copy(),
+            np.broadcast_to(parse_expression(e1, grid, self.base), shape),
+            np.broadcast_to(parse_expression(e2, grid, self.base), shape),
         )
         _validated(control0.validate)
         return spec, targets, control0, n_steps

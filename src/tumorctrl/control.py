@@ -163,12 +163,14 @@ def optimize(
     stat = np.inf
     converged = False
     it = 0
-    # the trajectory the current gradient was computed from
-    grad, grad_traj = None, None
+    # whether grad is the reduced gradient at traj; besides traj, the loop
+    # keeps only grad and at most one candidate and its trajectory alive
+    # across a solve
+    grad, grad_current = None, False
 
     for it in range(1, max_iters + 1):
-        adj = solve_adjoint(traj, weights, targets, spec)
-        grad, grad_traj = reduced_gradient(traj, adj, weights, spec), traj
+        grad = reduced_gradient(traj, solve_adjoint(traj, weights, targets, spec), weights, spec)
+        grad_current = True
 
         probe, _ = project_admissible(
             Control(current.chi1 - grad.chi1, current.chi2 - grad.chi2), adm, g, T
@@ -176,6 +178,7 @@ def optimize(
         stat_abs = control_norm(
             Control(current.chi1 - probe.chi1, current.chi2 - probe.chi2), g, T
         )
+        del probe
         stat = stat_abs / max(1.0, control_norm(current, g, T))
         if stat <= tol:
             converged = True
@@ -185,6 +188,8 @@ def optimize(
         accepted = False
         ball_active = False
         for _ in range(max_backtracks):
+            # a rejected candidate goes before the next one is made
+            cand = cand_traj = None
             cand, ball_active = project_admissible(
                 Control(current.chi1 - lam * grad.chi1, current.chi2 - lam * grad.chi2),
                 adm,
@@ -193,6 +198,7 @@ def optimize(
             )
             move = Control(cand.chi1 - current.chi1, cand.chi2 - current.chi2)
             move_sq = control_inner(move, move, g, T)
+            del move
             if move_sq == 0.0:
                 break
             cand_traj = solve_state(cand, spec)
@@ -205,12 +211,13 @@ def optimize(
             history.append((it, cost, stat, lam, int(ball_active)))
             break
         current, traj, cost, parts = cand, cand_traj, cand_cost, cand_parts
+        grad_current = False
         history.append((it, cost, stat, lam, int(ball_active)))
         lam = min(2.0 * lam, step0)
 
     # the loop's gradient is stale after an accepted last step, and
     # missing when no iteration ran
-    if grad_traj is not traj:
+    if not grad_current:
         grad = reduced_gradient(traj, solve_adjoint(traj, weights, targets, spec), weights, spec)
     return OptimizeResult(
         control=current,
@@ -249,6 +256,42 @@ class VIReport:
         )
 
 
+def _probe_range(low, high):
+    """Finite sampling range of one dose box.
+
+    An infinite high samples at 1.0, an infinite low at 1 below the
+    smaller of 0 and the (sampled) high.
+    """
+    hi = high if np.isfinite(high) else 1.0
+    lo = low if np.isfinite(low) else min(hi, 0.0) - 1.0
+    return lo, hi
+
+
+def admissible_probes(n_steps, adm: AdmissibleSet, grid, T, n_random=8, seed=0):
+    """Yield (name, probe) admissible controls one at a time.
+
+    The four constant box corners come first, then n_random uniform draws
+    from the boxes, each projected.  An infinite box end is sampled at a
+    finite stand-in, so every probe is finite.
+    """
+    lo1, hi1 = _probe_range(adm.chi1_low, adm.chi1_high)
+    lo2, hi2 = _probe_range(adm.chi2_low, adm.chi2_high)
+    for name, c1, c2 in (
+        ("corner-low-low", lo1, lo2),
+        ("corner-low-high", lo1, hi2),
+        ("corner-high-low", hi1, lo2),
+        ("corner-high-high", hi1, hi2),
+    ):
+        yield name, project_admissible(Control.constant(grid, n_steps, c1, c2), adm, grid, T)[0]
+    rng = np.random.default_rng(seed)
+    shape = (n_steps + 1,) + grid.shape
+    for j in range(n_random):
+        draw = Control(rng.uniform(lo1, hi1, shape), rng.uniform(lo2, hi2, shape))
+        probe = project_admissible(draw, adm, grid, T)[0]
+        del draw
+        yield f"random-{j}", probe
+
+
 def vi_residual(candidate: Control, grad: Control, spec, adm: AdmissibleSet, n_random=8, seed=0):
     """Probe the variational inequality at a candidate minimizer.
 
@@ -261,35 +304,18 @@ def vi_residual(candidate: Control, grad: Control, spec, adm: AdmissibleSet, n_r
     """
     g = spec.grid
     T = spec.T
-    K = candidate.n_steps
-
-    probes = {}
-    hi1 = adm.chi1_high if np.isfinite(adm.chi1_high) else 1.0
-    hi2 = adm.chi2_high if np.isfinite(adm.chi2_high) else 1.0
-    for name, c1, c2 in (
-        ("corner-low-low", adm.chi1_low, adm.chi2_low),
-        ("corner-low-high", adm.chi1_low, hi2),
-        ("corner-high-low", hi1, adm.chi2_low),
-        ("corner-high-high", hi1, hi2),
-    ):
-        probes[name], _ = project_admissible(Control.constant(g, K, c1, c2), adm, g, T)
-    rng = np.random.default_rng(seed)
-    shape = (K + 1,) + g.shape
-    for j in range(n_random):
-        draw = Control(
-            rng.uniform(adm.chi1_low, hi1, shape), rng.uniform(adm.chi2_low, hi2, shape)
-        )
-        probes[f"random-{j}"], _ = project_admissible(draw, adm, g, T)
-
     worst, worst_name = np.inf, "none"
     gnorm = control_norm(grad, g, T)
     scale = 0.0
-    for name, probe in probes.items():
+    n_probes = 0
+    for name, probe in admissible_probes(candidate.n_steps, adm, g, T, n_random, seed):
         d = Control(probe.chi1 - candidate.chi1, probe.chi2 - candidate.chi2)
         val = control_inner(grad, d, g, T)
         scale = max(scale, gnorm * control_norm(d, g, T))
         if val < worst:
             worst, worst_name = val, name
+        n_probes += 1
+        del probe, d  # gone before the next probe is made
 
     proj, _ = project_admissible(
         Control(candidate.chi1 - grad.chi1, candidate.chi2 - grad.chi2), adm, g, T
@@ -301,6 +327,6 @@ def vi_residual(candidate: Control, grad: Control, spec, adm: AdmissibleSet, n_r
         worst_pairing=float(worst),
         worst_probe=worst_name,
         projection_residual=resid,
-        n_probes=len(probes),
+        n_probes=n_probes,
         scale=max(scale, 1e-30),
     )

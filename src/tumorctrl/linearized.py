@@ -13,9 +13,10 @@ thirteen per-node fields, one for each way a perturbation of (tumor,
 lactate, damage, displacement, doses) enters the four equations; the
 tangent and adjoint sweeps both take their coefficients from it.  Both
 sweeps only read the stored trajectory, so they evaluate the coefficients
-for a block of block_steps(grid) time levels in one call and step through
-views of it; elementwise arithmetic does not depend on the stacking, so
-the result is bitwise that of a per-level evaluation.
+for a block of block_steps(grid) time levels in one call, rebuilding the
+block's strain with traj.strain, and step through views of it; elementwise
+arithmetic does not depend on the stacking, so the result is bitwise that
+of a per-level evaluation.
 """
 from dataclasses import dataclass, fields
 
@@ -95,9 +96,12 @@ class LinearizedCoefficients:
         return LinearizedCoefficients(**views)
 
 
-def dose_coefficients(phi, z, spec):
-    """Dose sensitivities (a4, b4) of the tumor and lactate equations."""
-    return -phi * (1.0 - phi / spec.N), spec.S.value(phi, z)
+def dose_coefficients(phi, z, spec, S=None):
+    """Dose sensitivities (a4, b4) of the tumor and lactate equations.
+
+    S is spec.S.value(phi, z) when the caller has it already.
+    """
+    return -phi * (1.0 - phi / spec.N), spec.S.value(phi, z) if S is None else S
 
 
 def assemble_coefficients(
@@ -114,21 +118,17 @@ def assemble_coefficients(
     """
     phi_mech = phi if phi_mech is None else phi_mech
     z_slope = z if z_slope is None else z_slope
-    p = spec.p.value(sigma, z)
-    g_ = spec.g.value(sigma, z)
-    p_sigma, p_z = spec.p.grad(sigma, z)
-    g_sigma, g_z = spec.g.grad(sigma, z)
-    a4, b4 = dose_coefficients(phi, z, spec)
+    p, (p_sigma, p_z) = spec.p.value_grad(sigma, z)
+    g_, (g_sigma, g_z) = spec.g.value_grad(sigma, z)
+    S, (S_phi, S_z) = spec.S.value_grad(phi, z)
+    a4, b4 = dose_coefficients(phi, z, spec, S=S)
     logi = -a4
     a1 = (p - chi1) * (1.0 - 2.0 * phi / spec.N) - g_
     a2 = p_sigma * logi - phi * g_sigma
     a3 = p_z * logi - phi * g_z
 
-    k1 = spec.k1.value(phi, z)
-    k2 = spec.k2.value(phi, z)
-    k1_phi, k1_z = spec.k1.grad(phi, z)
-    k2_phi, k2_z = spec.k2.grad(phi, z)
-    S_phi, S_z = spec.S.grad(phi, z)
+    k1, (k1_phi, k1_z) = spec.k1.value_grad(phi, z)
+    k2, (k2_phi, k2_z) = spec.k2.value_grad(phi, z)
     den = k2 + sigma
     b1 = -k1_phi * sigma / den + k1 * sigma * k2_phi / den**2
     b1 = b1 + chi2 * S_phi
@@ -198,7 +198,7 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
             n1 = min(n + B, K)
             block = assemble_coefficients(
                 traj.phi[n:n1], traj.sigma[n:n1], traj.z[n:n1],
-                np.moveaxis(traj.eps_u[n + 1:n1 + 1], 1, 0), chi1[n:n1], chi2[n:n1], spec,
+                traj.strain(n + 1, n1 + 1), chi1[n:n1], chi2[n:n1], spec,
                 phi_mech=traj.phi[n + 1:n1 + 1], z_slope=traj.z[n + 1:n1 + 1], step0=n,
             )
         co = block.level(j)

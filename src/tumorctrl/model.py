@@ -31,10 +31,15 @@ from .errors import DomainError, SeparationError
 
 @dataclass(frozen=True)
 class PointMap2:
-    """Scalar map of two arguments; grad returns both analytic partials."""
+    """Scalar map of two arguments; grad returns both analytic partials.
+
+    value_grad returns (value, (partial_a, partial_b)) from one evaluation,
+    bitwise equal to the value and grad calls.
+    """
 
     value: Callable
     grad: Callable
+    value_grad: Callable
 
 
 def expit_map(lo, hi, c0, c1, c2) -> PointMap2:
@@ -44,12 +49,18 @@ def expit_map(lo, hi, c0, c1, c2) -> PointMap2:
     def val(a, b):
         return lo + span * expit(c0 + c1 * a + c2 * b)
 
-    def grad(a, b):
-        e = expit(c0 + c1 * a + c2 * b)
+    def partials(e):
         slope = span * e * (1.0 - e)
         return c1 * slope, c2 * slope
 
-    return PointMap2(value=val, grad=grad)
+    def grad(a, b):
+        return partials(expit(c0 + c1 * a + c2 * b))
+
+    def value_grad(a, b):
+        e = expit(c0 + c1 * a + c2 * b)
+        return lo + span * e, partials(e)
+
+    return PointMap2(value=val, grad=grad, value_grad=value_grad)
 
 
 def constant_map(v) -> PointMap2:
@@ -60,7 +71,10 @@ def constant_map(v) -> PointMap2:
         z = zero(a, b)
         return z, z
 
-    return PointMap2(value=lambda a, b: v + zero(a, b), grad=grad)
+    def value(a, b):
+        return v + zero(a, b)
+
+    return PointMap2(value=value, grad=grad, value_grad=lambda a, b: (value(a, b), grad(a, b)))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ march is the time loop as a generator: it yields one time level at a time
 and keeps only the current one, so a consumer that reduces or writes each
 level as it arrives (the simulate and separation commands) never holds the
 trajectory.  solve_state collects the same levels into a StateTrajectory
-for the sweeps that read every level back (tangent, adjoint, cost).
+for the sweeps that read every level back (tangent, adjoint, cost), all
+but the strain, which they rebuild from the displacement as they read it.
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -118,14 +119,17 @@ class Diagnostics:
 
 @dataclass
 class StateTrajectory:
-    """Dense record of one forward solve; treated as immutable once built."""
+    """Dense record of one forward solve; treated as immutable once built.
+
+    The strain is not stored: strain rebuilds it from u for the levels a
+    sweep reads, bitwise the eps_u that march yields.
+    """
 
     grid: object
     times: np.ndarray
     phi: np.ndarray
     sigma: np.ndarray
     u: np.ndarray
-    eps_u: np.ndarray
     z: np.ndarray
     control: Control
     diagnostics: Optional[Diagnostics] = None
@@ -137,6 +141,14 @@ class StateTrajectory:
     @property
     def tau(self):
         return float(self.times[1] - self.times[0])
+
+    def strain(self, n0=0, n1=None):
+        """sym_grad(u) at levels n0..n1-1, component-first: (3, n1-n0, ny+1, nx+1)."""
+        n1 = self.n_steps + 1 if n1 is None else n1
+        eps = np.empty((3, n1 - n0) + self.grid.shape)
+        for j, n in enumerate(range(n0, n1)):
+            eps[:, j] = self.grid.sym_grad(self.u[n])
+        return eps
 
 
 @dataclass(frozen=True)
@@ -311,7 +323,8 @@ def step_z(z, phi_new, eps_new, ops, spec):
 
 def sigma_cap_for(spec, control) -> float:
     """Monitored lactate bound: data cap plus worst-case driven production."""
-    drive = float(np.maximum(control.chi2, 0.0).max()) if control.chi2.size else 0.0
+    # reduced before clamping: a broadcast dose view then makes no dense temporary
+    drive = max(float(control.chi2.max()), 0.0) if control.chi2.size else 0.0
     return max(spec.M0, float(spec.sigma0.max())) + spec.T * drive * spec.bounds.S_star
 
 
@@ -357,9 +370,8 @@ def solve_state(control: Control, spec) -> StateTrajectory:
     sigma = np.empty_like(phi)
     z = np.empty_like(phi)
     u = np.empty((K + 1, 2) + g.shape)
-    eps_u = np.empty((K + 1, 3) + g.shape)
     for n, level in enumerate(march(control, spec, d)):
-        phi[n], sigma[n], u[n], eps_u[n], z[n] = level
+        phi[n], sigma[n], u[n], _, z[n] = level
 
     return StateTrajectory(
         grid=g,
@@ -367,7 +379,6 @@ def solve_state(control: Control, spec) -> StateTrajectory:
         phi=phi,
         sigma=sigma,
         u=u,
-        eps_u=eps_u,
         z=z,
         diagnostics=d,
         control=control,

@@ -29,7 +29,6 @@ def constant_trajectory(grid, K=4, T=0.4, phi=0.3, sigma=0.6, z=0.5, shear=0.2, 
         phi=rep(np.full(grid.shape, phi)),
         sigma=rep(np.full(grid.shape, sigma)),
         u=rep(u),
-        eps_u=rep(grid.sym_grad(u)),
         z=rep(np.full(grid.shape, z)),
         control=Control.constant(grid, K, c1, c2),
     )

@@ -1,7 +1,6 @@
 """End-to-end command line tests: exit codes, diagnostics, determinism."""
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,27 +361,24 @@ def test_solver_error_mid_march_leaves_no_manifest(tmp_path, capsys, monkeypatch
     assert sorted(p.name for p in out.glob("phi_*")) == [f"phi_0000{n}.csv" for n in range(3)]
 
 
-def test_simulate_memory_stays_below_the_trajectory(tmp_path, capsys, monkeypatch):
+def test_simulate_memory_stays_below_the_trajectory(tmp_path, capsys, traced_peak):
     text = "[grid]\nnx = 24\nny = 24\n[time]\nsteps = 400\n[output]\nstride = 100\n"
-    load = cli.load_config
-
-    def traced_load(path):
-        # the config's own dose arrays are allocated before tracing starts
-        cfg = load(path)
-        tracemalloc.start()
-        return cfg
-
-    monkeypatch.setattr(cli, "load_config", traced_load)
-    try:
-        rc = main(["simulate", "--config", write_cfg(tmp_path, text),
-                   "--out", str(tmp_path / "out")])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # load_config is traced too: its time-constant doses are views of one level
+    rc, peak = traced_peak(main, ["simulate", "--config", write_cfg(tmp_path, text),
+                                  "--out", str(tmp_path / "out")])
     assert rc == 0
     # phi, sigma, z, two displacement and three strain components per level
     trajectory = 8 * 8 * 401 * 25 * 25
     assert peak < trajectory / 4
+
+
+def test_config_doses_are_read_only_views_of_one_level(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, OPTIMIZE_SMALL))
+    for dose in (cfg.control0.chi1, cfg.control0.chi2):
+        assert dose.shape == (9, 9, 9)
+        assert dose.strides[0] == 0  # every time level is the same memory
+        with pytest.raises(ValueError, match="read-only"):
+            dose[1] += 1.0
 
 
 def test_gradient_check_small_config(tmp_path, capsys):

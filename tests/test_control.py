@@ -237,3 +237,91 @@ def test_history_csv_round_trip(inverse_run, tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == res.history[0][0]
     assert abs(float(first[1]) - res.history[0][1]) < 1e-15
+
+
+def test_optimize_memory_holds_one_trial_trajectory(traced_peak):
+    # boxed and ball-constrained; iteration 2 rejects two candidates before accepting
+    sc = smooth_scenario(nx=24, n_steps=32)
+    spec = sc.spec
+    adm = AdmissibleSet(chi1_high=0.5, chi2_high=0.5, c_ad=0.1)
+    w = CostWeights(alpha1=1.0, alpha2=1.0, alpha6=0.3, alpha7=1.0, alpha9=0.1)
+    solve_state(sc.control, spec)  # the cached step operators are built outside the trace
+    res, peak = traced_peak(
+        optimize, spec, w, Targets.resting(spec), adm, sc.control, max_iters=2, tol=1e-4, step0=50.0
+    )
+    assert [row[3] for row in res.history] == [50.0, 12.5]
+    # phi, sigma, z and two displacement components per level
+    trajectory = 5 * 8 * 33 * 25 * 25
+    # the current and one trial trajectory, the strain the cost rebuilds,
+    # and a few controls: 5.3 trajectories; 10.6 while every trajectory
+    # stored its strain and rejected candidates outlived the next solve
+    assert peak < 8 * trajectory
+
+
+def _vi_case():
+    sc = smooth_scenario(nx=8, n_steps=6)
+    spec = sc.spec
+    adm = AdmissibleSet(chi1_high=0.5, chi2_high=0.5, c_ad=0.1)
+    candidate, _ = project_admissible(sc.control, adm, spec.grid, spec.T)
+    traj = solve_state(candidate, spec)
+    grad = reduced_gradient(traj, solve_adjoint(traj, full_weights(), Targets.resting(spec), spec),
+                            full_weights(), spec)
+    return spec, adm, candidate, grad
+
+
+def test_vi_residual_memory_does_not_grow_with_probes(traced_peak):
+    spec, adm, candidate, grad = _vi_case()
+    few, peak_few = traced_peak(vi_residual, candidate, grad, spec, adm, n_random=8)
+    many, peak_many = traced_peak(vi_residual, candidate, grad, spec, adm, n_random=32)
+    assert (few.n_probes, many.n_probes) == (12, 36)
+    control_bytes = 2 * candidate.chi1.nbytes
+    assert peak_many <= peak_few + control_bytes
+
+
+def test_streamed_vi_residual_equals_all_probe_reference(monkeypatch):
+    spec, adm, candidate, grad = _vi_case()
+    g, T, K = spec.grid, spec.T, candidate.n_steps
+    # every probe made and projected first, then paired
+    probes = {}
+    for name, c1, c2 in (("corner-low-low", 0.0, 0.0), ("corner-low-high", 0.0, 0.5),
+                         ("corner-high-low", 0.5, 0.0), ("corner-high-high", 0.5, 0.5)):
+        probes[name], _ = project_admissible(Control.constant(g, K, c1, c2), adm, g, T)
+    rng = np.random.default_rng(4)
+    shape = (K + 1,) + g.shape
+    for j in range(8):
+        draw = Control(rng.uniform(0.0, 0.5, shape), rng.uniform(0.0, 0.5, shape))
+        probes[f"random-{j}"], _ = project_admissible(draw, adm, g, T)
+    gnorm = control_norm(grad, g, T)
+    worst, worst_name, scale = np.inf, "none", 0.0
+    for name, probe in probes.items():
+        d = Control(probe.chi1 - candidate.chi1, probe.chi2 - candidate.chi2)
+        val = control_inner(grad, d, g, T)
+        scale = max(scale, gnorm * control_norm(d, g, T))
+        if val < worst:
+            worst, worst_name = val, name
+    proj, _ = project_admissible(
+        Control(candidate.chi1 - grad.chi1, candidate.chi2 - grad.chi2), adm, g, T)
+    resid = control_norm(Control(candidate.chi1 - proj.chi1, candidate.chi2 - proj.chi2), g, T)
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return project_admissible(*args, **kwargs)
+
+    monkeypatch.setattr(control, "project_admissible", counted)
+    vi = vi_residual(candidate, grad, spec, adm, seed=4)
+    assert len(calls) == len(probes) + 1
+    assert (vi.worst_pairing, vi.worst_probe, vi.projection_residual, vi.n_probes, vi.scale) == (
+        worst, worst_name, resid, len(probes), max(scale, 1e-30))
+
+
+def test_vi_residual_samples_infinite_lows_finitely():
+    sc = smooth_scenario(nx=8, n_steps=4)
+    g = sc.spec.grid
+    adm = AdmissibleSet(chi1_low=-np.inf, chi2_low=-np.inf)
+    vi = vi_residual(Control.constant(g, 4, 0.2, 0.2), Control.constant(g, 4, 0.1, 0.1), sc.spec, adm)
+    assert vi.n_probes == 12
+    assert np.isfinite(vi.worst_pairing) and np.isfinite(vi.scale)
+    probes = control.admissible_probes(4, adm, g, sc.spec.T)
+    assert all(np.isfinite(p.chi1).all() and np.isfinite(p.chi2).all() for _, p in probes)

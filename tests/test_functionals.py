@@ -68,6 +68,7 @@ def test_eval_cost_matches_level_loop(case):
     tw = time_weights(traj.tau)
     sq = lambda f: g.inner(f, f)
     run = lambda fn: sum(tw[n] * fn(n) for n in range(K + 1))
+    strain = lambda n: g.sym_grad(traj.u[n])
     want = {
         "phi-tracking": 0.5 * a[0] * run(lambda n: sq(traj.phi[n] - tg.phi_track)),
         "phi-final-tracking": 0.5 * a[1] * sq(traj.phi[K] - tg.phi_final),
@@ -75,9 +76,7 @@ def test_eval_cost_matches_level_loop(case):
         "sigma-tracking": 0.5 * a[3] * run(lambda n: sq(traj.sigma[n] - tg.sigma_track)),
         "sigma-final-tracking": 0.5 * a[4] * sq(traj.sigma[K] - tg.sigma_final),
         "strain-burden": 0.5 * a[5] * run(
-            lambda n: g.integrate(
-                spec.gamma.value(traj.phi[n]) * tensor_dot(traj.eps_u[n], traj.eps_u[n])
-            )
+            lambda n: g.integrate(spec.gamma.value(traj.phi[n]) * tensor_dot(strain(n), strain(n)))
         ),
         "z-tracking": 0.5 * a[6] * run(lambda n: sq(traj.z[n] - tg.z_track)),
         "z-final-mass": a[7] * g.integrate(traj.z[K]),
@@ -109,7 +108,7 @@ def test_duality_sides_match_level_loop(case):
         + a[7] * g.integrate(lin.zeta[K])
     )
     for n in range(K + 1):
-        ee = traj.eps_u[n]
+        ee = g.sym_grad(traj.u[n])
         rhs += tw[n] * (
             a[0] * g.inner(traj.phi[n] - tg.phi_track, lin.xi[n])
             + a[3] * g.inner(traj.sigma[n] - tg.sigma_track, lin.rho[n])

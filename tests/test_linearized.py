@@ -43,6 +43,20 @@ def central(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+def test_assembly_evaluates_each_logistic_map_once(monkeypatch):
+    spec = mdl.DefaultLogisticFamily().build(Grid.unit(8, 8))
+    expit, calls = mdl.expit, []
+
+    def counted(x):
+        calls.append(1)
+        return expit(x)
+
+    monkeypatch.setattr(mdl, "expit", counted)
+    assemble_coefficients(*random_fields(spec), spec)
+    # p, g, k1 and S with both partials, and the partials of the two moduli
+    assert len(calls) == 6
+
+
 def test_coefficients_match_finite_differences(spec):
     # every entry of the table is the derivative of a parent nonlinearity;
     # probe 50 random nodes per coefficient against central differences
@@ -148,7 +162,7 @@ def reference_tangent(traj, direction, spec):
     gtw = g.sym_grad_weighted_transpose
     for n in range(K):
         co = assemble_coefficients(
-            traj.phi[n], traj.sigma[n], traj.z[n], traj.eps_u[n + 1], chi1[n], chi2[n], spec,
+            traj.phi[n], traj.sigma[n], traj.z[n], g.sym_grad(traj.u[n + 1]), chi1[n], chi2[n], spec,
             phi_mech=traj.phi[n + 1], z_slope=traj.z[n + 1],
         )
         rhs = xi[n] + tau * (co.a1 * xi[n] + co.a2 * rho[n] + co.a3 * zeta[n] + co.a4 * direction.chi1[n])
@@ -176,7 +190,7 @@ def reference_adjoint(traj, weights, targets, spec):
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
     for m in range(K, 0, -1):
-        ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], traj.eps_u[m]
+        ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], g.sym_grad(traj.u[m])
         co = assemble_coefficients(ph, sg, zz, ee, chi1[m], chi2[m], spec)
         f_q = (
             co.a1 * q[m]

@@ -121,6 +121,17 @@ def point_maps(spec):
 
 
 @pytest.mark.parametrize("which", ["default", "k2var"])
+def test_value_grad_equals_value_and_grad(which, spec, spec_k2var):
+    sp = spec if which == "default" else spec_k2var
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(-1, 2, (2, 5, 4))
+    for m in point_maps(sp):
+        value, (da, db) = m.value_grad(a, b)
+        assert np.array_equal(value, m.value(a, b))
+        assert np.array_equal(da, m.grad(a, b)[0]) and np.array_equal(db, m.grad(a, b)[1])
+
+
+@pytest.mark.parametrize("which", ["default", "k2var"])
 def test_map_derivatives_match_fd(which, spec, spec_k2var):
     sp = spec if which == "default" else spec_k2var
     rng = np.random.default_rng(5)

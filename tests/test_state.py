@@ -525,8 +525,9 @@ def test_march_yields_the_levels_solve_state_keeps():
     levels = [tuple(f.copy() for f in level) for level in march(sc.control, sc.spec, d)]
     assert len(levels) == traj.n_steps + 1
     for n, level in enumerate(levels):
-        for name, f in zip(("phi", "sigma", "u", "eps_u", "z"), level):
+        for name, f in zip(("phi", "sigma", "u", "z"), level[:3] + level[4:]):
             assert np.array_equal(f, getattr(traj, name)[n]), (name, n)
+        assert np.array_equal(level[3], traj.strain(n, n + 1)[:, 0]), ("eps_u", n)
 
     ref = traj.diagnostics
     for name in ("phi_clamp", "sigma_clamp", "newton_iters", "cg_u"):
