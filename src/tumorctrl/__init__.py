@@ -8,7 +8,14 @@ cross-checks, and a projected gradient optimizer for distributed
 therapy controls.
 """
 
-from .adjoint import CostWeights, Targets, duality_residual, eval_cost, solve_adjoint
+from .adjoint import (
+    CostWeights,
+    Targets,
+    duality_residual,
+    eval_cost,
+    march_adjoint,
+    solve_adjoint,
+)
 from .config import RunConfig, load_config
 from .control import (
     AdmissibleSet,
@@ -58,6 +65,7 @@ __all__ = [
     "eval_cost",
     "load_config",
     "march",
+    "march_adjoint",
     "optimize",
     "project_admissible",
     "reduced_gradient",

@@ -3,16 +3,19 @@
 The objective combines nine weighted addends: running and terminal
 tracking for tumor and lactate, terminal tumor and damage mass, a strain
 burden weighted by a tumor-dependent density, running damage tracking,
-and a quadratic dose effort.  solve_adjoint marches the dual system
+and a quadratic dose effort.  march_adjoint marches the dual system
 backward from the terminal payoffs with implicit diffusion and explicit
 cross couplings taken from the later time level, mirroring the forward
-splitting in reverse.  The dual fields weight how a dose perturbation at
-each node propagates into the objective; duality_residual measures how
-closely that transfer matches the tangent solver, which is the committed
-discretization gap of the gradient (first order in the step).
+splitting in reverse, and yields one level at a time; solve_adjoint keeps
+the dual tumor and lactate fields, the only ones the gradient reads.  The
+dual fields weight how a dose perturbation at each node propagates into
+the objective; duality_residual measures how closely that transfer
+matches the tangent solver, which is the committed discretization gap of
+the gradient (first order in the step).  eval_cost and duality_residual
+evaluate their running integrands in blocks of time levels, so neither
+holds more than one field over the horizon besides its inputs.
 """
 from dataclasses import astuple, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -97,58 +100,86 @@ class Targets:
         return self
 
 
+def _time_quadrature(traj: StateTrajectory):
+    """Space-time quadrature along traj, with trapezoid weights in time.
+
+    Returns quad(f), where f(t) gives an integrand at the levels of the
+    slice t.  quad fills one (K+1, ny+1, nx+1) buffer block_steps(grid)
+    levels at a time, so no other temporary spans the horizon, and then
+    sums the whole buffer: the order, and so the rounding, of one
+    whole-trajectory array expression.
+    """
+    g, K = traj.grid, traj.n_steps
+    tw = traj.tau * trapezoid_weights(K)
+    B = block_steps(g)
+    buf = np.empty((K + 1,) + g.shape)
+
+    def quad(f):
+        for n0 in range(0, K + 1, B):
+            t = slice(n0, min(n0 + B, K + 1))
+            buf[t] = f(t)
+        return float(tw @ g.integrate_levels(buf))
+
+    return quad
+
+
 def eval_cost(traj: StateTrajectory, weights: CostWeights, targets: Targets, spec):
     """Evaluate the objective along a trajectory; returns (total, parts)."""
     weights.validate()
     g = traj.grid
     targets.validate(g)
     a = weights.as_array()
-    tw = traj.tau * trapezoid_weights(traj.n_steps)
+    run_quad = _time_quadrature(traj)
 
-    def run_quad(values):
-        return float(tw @ g.integrate_levels(values))
+    def strain_burden(t):
+        eps = traj.strain(t.start, t.stop)
+        return spec.gamma.value(traj.phi[t]) * tensor_dot(eps, eps)
 
     sq = lambda f: g.inner(f, f)
     phi_T, sigma_T, z_T = traj.phi[-1], traj.sigma[-1], traj.z[-1]
-    eps = traj.strain()
     chi1, chi2 = traj.control.chi1, traj.control.chi2
     parts = {
-        "phi-tracking": 0.5 * a[0] * run_quad((traj.phi - targets.phi_track) ** 2),
+        "phi-tracking": 0.5 * a[0] * run_quad(lambda t: (traj.phi[t] - targets.phi_track) ** 2),
         "phi-final-tracking": 0.5 * a[1] * sq(phi_T - targets.phi_final),
         "phi-final-mass": a[2] * g.integrate(phi_T),
-        "sigma-tracking": 0.5 * a[3] * run_quad((traj.sigma - targets.sigma_track) ** 2),
+        "sigma-tracking": 0.5 * a[3] * run_quad(lambda t: (traj.sigma[t] - targets.sigma_track) ** 2),
         "sigma-final-tracking": 0.5 * a[4] * sq(sigma_T - targets.sigma_final),
-        "strain-burden": 0.5 * a[5] * run_quad(spec.gamma.value(traj.phi) * tensor_dot(eps, eps)),
-        "z-tracking": 0.5 * a[6] * run_quad((traj.z - targets.z_track) ** 2),
+        "strain-burden": 0.5 * a[5] * run_quad(strain_burden),
+        "z-tracking": 0.5 * a[6] * run_quad(lambda t: (traj.z[t] - targets.z_track) ** 2),
         "z-final-mass": a[7] * g.integrate(z_T),
-        "dose-effort": 0.5 * a[8] * run_quad(chi1 * chi1 + chi2 * chi2),
+        "dose-effort": 0.5 * a[8] * run_quad(lambda t: chi1[t] * chi1[t] + chi2[t] * chi2[t]),
     }
     return sum(parts.values()), parts
 
 
 @dataclass
 class AdjointTrajectory:
-    """Dual fields on the state time nodes, marched backward from T."""
+    """The dual tumor and lactate fields on the state time nodes.
+
+    These are what the reduced gradient and the duality pairing read; the
+    dual displacement and damage fields are yielded by march_adjoint only.
+    """
 
     grid: object
     times: np.ndarray
     q: np.ndarray
     r: np.ndarray
-    v: np.ndarray
-    s: np.ndarray
 
     @property
     def n_steps(self):
         return len(self.times) - 1
 
 
-def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets, spec):
-    """March the dual system backward along a stored trajectory.
+def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets, spec):
+    """March the dual system backward along a stored trajectory, level by level.
 
     Terminal payoffs seed the dual fields at T; each backward step takes
     implicit diffusion (and the implicit damage slope) at the earlier
     level while every cross coupling and tracking source is evaluated at
-    the later one.
+    the later one.  Yields (q, r, v, s) at time levels K down to 0 and
+    keeps only the current level.  Each level comes in new arrays that
+    the next step reads, so a consumer may keep them but writes only to
+    copies.
     """
     weights.validate()
     g = traj.grid
@@ -157,17 +188,14 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
     a = weights.as_array()
     K = traj.n_steps
     tau = traj.tau
-    shape = g.shape
 
-    q = np.zeros((K + 1,) + shape)
-    r = np.zeros_like(q)
-    s = np.zeros_like(q)
-    v = np.zeros((K + 1, 2) + shape)
+    q = a[1] * (traj.phi[K] - targets.phi_final) + a[2]
+    r = a[4] * (traj.sigma[K] - targets.sigma_final)
+    v = np.zeros((2,) + g.shape)
+    s = np.full(g.shape, a[7])
     # the strain of v at the later level, the only one a backward step reads
-    eps_v = np.zeros((3,) + shape)
-    q[K] = a[1] * (traj.phi[K] - targets.phi_final) + a[2]
-    r[K] = a[4] * (traj.sigma[K] - targets.sigma_final)
-    s[K] = a[7]
+    eps_v = np.zeros((3,) + g.shape)
+    yield q, r, v, s
 
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
@@ -186,26 +214,35 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
         ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], eps_u[:, m - m0]
 
         f_q = (
-            co.a1 * q[m]
-            + co.b1 * r[m]
-            + co.d1 * s[m]
+            co.a1 * q
+            + co.b1 * r
+            + co.d1 * s
             - tensor_dot(co.c1, eps_v)
             + a[0] * (ph - targets.phi_track)
             + 0.5 * a[5] * spec.gamma.d(ph) * tensor_dot(ee, ee)
         )
-        q[m - 1] = ops.neumann(q[m] + tau * f_q)
+        q_new = ops.neumann(q + tau * f_q)
 
-        f_r = co.a2 * q[m] + co.b2 * r[m] + a[3] * (sg - targets.sigma_track)
-        r[m - 1] = ops.robin(r[m] + tau * f_r)
+        f_r = co.a2 * q + co.b2 * r + a[3] * (sg - targets.sigma_track)
+        r_new = ops.robin(r + tau * f_r)
 
-        load = gtw @ (co.d2 * s[m] + a[5] * spec.gamma.value(ph) * ee).reshape(3, -1).ravel()
-        v[m - 1], eps_v_new, _ = ops.displace(spec, v[m], load, ph, traj.z[m - 1], "v-step")
+        load = gtw @ (co.d2 * s + a[5] * spec.gamma.value(ph) * ee).reshape(3, -1).ravel()
+        v, eps_v_new, _ = ops.displace(spec, v, load, ph, traj.z[m - 1], "v-step")
 
-        f_s = co.a3 * q[m] + co.b3 * r[m] - tensor_dot(co.c2, eps_v) + a[6] * (zz - targets.z_track)
-        s[m - 1], _ = ops.damage(1.0 - tau * co.d3, s[m] + tau * f_s, "s-step", x0=s[m])
-        eps_v = eps_v_new
+        f_s = co.a3 * q + co.b3 * r - tensor_dot(co.c2, eps_v) + a[6] * (zz - targets.z_track)
+        s, _ = ops.damage(1.0 - tau * co.d3, s + tau * f_s, "s-step", x0=s)
+        q, r, eps_v = q_new, r_new, eps_v_new
+        yield q, r, v, s
 
-    return AdjointTrajectory(grid=g, times=traj.times.copy(), q=q, r=r, v=v, s=s)
+
+def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets, spec):
+    """March the dual system backward and keep q and r of every level."""
+    K = traj.n_steps
+    q = np.empty((K + 1,) + traj.grid.shape)
+    r = np.empty_like(q)
+    for m, (q_m, r_m, _, _) in zip(range(K, -1, -1), march_adjoint(traj, weights, targets, spec)):
+        q[m], r[m] = q_m, r_m
+    return AdjointTrajectory(grid=traj.grid, times=traj.times.copy(), q=q, r=r)
 
 
 def duality_residual(traj, lin, adj, direction, weights: CostWeights, targets: Targets, spec):
@@ -215,28 +252,38 @@ def duality_residual(traj, lin, adj, direction, weights: CostWeights, targets: T
     first order in the step and bounds the committed gradient error.
     Returns the two sides, the gap, and the gap relative to their scale.
     """
+    weights.validate()
     g = traj.grid
+    targets.validate(g)
+    for name, field in (("lin", lin.xi), ("adj", adj.q), ("direction", direction.chi1)):
+        if field.shape != traj.phi.shape:
+            raise ValueError(f"{name} has levels {field.shape}, the trajectory {traj.phi.shape}")
+    direction.validate(g)
     a = weights.as_array()
     K = traj.n_steps
-    tw = traj.tau * trapezoid_weights(K)
-    eps = traj.strain()
+    quad = _time_quadrature(traj)
 
-    a4, b4 = dose_coefficients(traj.phi, traj.z, spec)
-    lhs = float(tw @ g.integrate_levels(a4 * direction.chi1 * adj.q + b4 * direction.chi2 * adj.r))
+    def pairing(t):
+        a4, b4 = dose_coefficients(traj.phi[t], traj.z[t], spec)
+        return a4 * direction.chi1[t] * adj.q[t] + b4 * direction.chi2[t] * adj.r[t]
 
-    running = (
-        a[0] * (traj.phi - targets.phi_track) * lin.xi
-        + a[3] * (traj.sigma - targets.sigma_track) * lin.rho
-        + a[6] * (traj.z - targets.z_track) * lin.zeta
-        + 0.5 * a[5] * spec.gamma.d(traj.phi) * tensor_dot(eps, eps) * lin.xi
-        + a[5] * spec.gamma.value(traj.phi) * tensor_dot(eps, np.moveaxis(lin.eps_omega, 1, 0))
-    )
+    def running(t):
+        phi, eps = traj.phi[t], traj.strain(t.start, t.stop)
+        return (
+            a[0] * (phi - targets.phi_track) * lin.xi[t]
+            + a[3] * (traj.sigma[t] - targets.sigma_track) * lin.rho[t]
+            + a[6] * (traj.z[t] - targets.z_track) * lin.zeta[t]
+            + 0.5 * a[5] * spec.gamma.d(phi) * tensor_dot(eps, eps) * lin.xi[t]
+            + a[5] * spec.gamma.value(phi) * tensor_dot(eps, lin.strain(t.start, t.stop))
+        )
+
+    lhs = quad(pairing)
     rhs = (
         a[1] * g.inner(traj.phi[K] - targets.phi_final, lin.xi[K])
         + a[2] * g.integrate(lin.xi[K])
         + a[4] * g.inner(traj.sigma[K] - targets.sigma_final, lin.rho[K])
         + a[7] * g.integrate(lin.zeta[K])
-        + float(tw @ g.integrate_levels(running))
+        + quad(running)
     )
     gap = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1e-30)

@@ -276,9 +276,18 @@ class Grid:
         return np.stack([(d @ flat).T for d in (self._dx, self._dy)]).reshape((2,) + f.shape)
 
     def sym_grad(self, u):
-        u = self._check(u, comps=2)
-        e = self.sym_grad_matrix @ u.reshape(2, -1).ravel()
-        return e.reshape((3,) + self.shape)
+        """(e11, e22, e12) on a new leading axis, of u or of each level of a stack u.
+
+        u is (2, ny+1, nx+1) or a stack (..., 2, ny+1, nx+1); the result is
+        (3,) + u.shape[:-3] + (ny+1, nx+1).  One sparse product serves
+        every level, bitwise equal to one product per level.
+        """
+        u = self._check_levels(u)
+        if u.shape[-3:-2] != (2,):
+            raise ValueError(f"field shape {u.shape} does not end in {(2,) + self.shape}")
+        lead = u.shape[:-3]
+        e = self.sym_grad_matrix @ u.reshape(-1, 2 * self.n_nodes).T
+        return e.reshape(3, self.n_nodes, -1).transpose(0, 2, 1).reshape((3,) + lead + self.shape)
 
     def div_stress(self, s):
         """Adjoint divergence of a symmetric tensor field.

@@ -150,19 +150,26 @@ def assemble_coefficients(
 
 @dataclass
 class LinearizedTrajectory:
-    """Tangent fields along a stored state trajectory."""
+    """Tangent fields along a stored state trajectory.
+
+    The strain of omega is not stored: strain rebuilds it for the levels a
+    reader asks for, bitwise the strain the march used.
+    """
 
     grid: object
     times: np.ndarray
     xi: np.ndarray
     rho: np.ndarray
     omega: np.ndarray
-    eps_omega: np.ndarray
     zeta: np.ndarray
 
     @property
     def n_steps(self):
         return len(self.times) - 1
+
+    def strain(self, n0=0, n1=None):
+        """sym_grad(omega) at levels n0..n1-1, component-first: (3, n1-n0, ny+1, nx+1)."""
+        return self.grid.sym_grad(self.omega[n0:n1])
 
 
 def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> LinearizedTrajectory:
@@ -186,7 +193,6 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
     rho = np.zeros_like(xi)
     zeta = np.zeros_like(xi)
     omega = np.zeros((K + 1, 2) + shape)
-    eps_omega = np.zeros((K + 1, 3) + shape)
 
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
@@ -209,16 +215,14 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
         rho[n + 1] = ops.robin(rhs)
 
         load = gtw @ (co.c1 * xi[n + 1] + co.c2 * zeta[n]).reshape(3, -1).ravel()
-        omega[n + 1], eps_omega[n + 1], _ = ops.displace(
+        omega[n + 1], eps_omega, _ = ops.displace(
             spec, omega[n], load, traj.phi[n + 1], traj.z[n], "omega-step"
         )
 
-        rhs = zeta[n] + tau * (co.d1 * xi[n + 1] + tensor_dot(co.d2, eps_omega[n + 1]))
+        rhs = zeta[n] + tau * (co.d1 * xi[n + 1] + tensor_dot(co.d2, eps_omega))
         zeta[n + 1], _ = ops.damage(1.0 - tau * co.d3, rhs, "zeta-step", x0=zeta[n])
 
-    return LinearizedTrajectory(
-        grid=g, times=traj.times.copy(), xi=xi, rho=rho, omega=omega, eps_omega=eps_omega, zeta=zeta
-    )
+    return LinearizedTrajectory(grid=g, times=traj.times.copy(), xi=xi, rho=rho, omega=omega, zeta=zeta)
 
 
 def trajectory_distance(a: StateTrajectory, b, lin: LinearizedTrajectory = None, scale=1.0):

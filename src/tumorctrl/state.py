@@ -144,11 +144,7 @@ class StateTrajectory:
 
     def strain(self, n0=0, n1=None):
         """sym_grad(u) at levels n0..n1-1, component-first: (3, n1-n0, ny+1, nx+1)."""
-        n1 = self.n_steps + 1 if n1 is None else n1
-        eps = np.empty((3, n1 - n0) + self.grid.shape)
-        for j, n in enumerate(range(n0, n1)):
-            eps[:, j] = self.grid.sym_grad(self.u[n])
-        return eps
+        return self.grid.sym_grad(self.u[n0:n1])
 
 
 @dataclass(frozen=True)

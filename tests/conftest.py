@@ -18,3 +18,12 @@ def traced_peak():
         return result, peak
 
     return run
+
+
+@pytest.fixture
+def field_bytes():
+    """Bytes of one float64 field over the horizon: field_bytes(grid, n_steps).
+
+    Memory bounds are stated in this unit, so they read alike across tests.
+    """
+    return lambda grid, n_steps: 8 * (n_steps + 1) * grid.n_nodes

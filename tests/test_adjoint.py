@@ -10,8 +10,10 @@ from tumorctrl.adjoint import (
     Targets,
     duality_residual,
     eval_cost,
+    march_adjoint,
     solve_adjoint,
 )
+from tumorctrl.control import reduced_gradient
 from tumorctrl.grid import Grid
 from tumorctrl.linearized import solve_linearized
 from tumorctrl.presets import smooth_scenario
@@ -92,6 +94,12 @@ def full_weights():
     return CostWeights(1.0, 0.5, 0.2, 1.0, 0.5, 0.3, 1.0, 0.2, 1e-3)
 
 
+def adjoint_levels(traj, w, tg, spec):
+    """The (q, r, v, s) levels march_adjoint yields, stacked in time order."""
+    levels = list(march_adjoint(traj, w, tg, spec))[::-1]
+    return tuple(np.array(field) for field in zip(*levels))
+
+
 def test_terminal_payoffs(small_run):
     sc, traj = small_run
     w = full_weights()
@@ -100,15 +108,17 @@ def test_terminal_payoffs(small_run):
     K = traj.n_steps
     assert np.allclose(adj.q[K], 0.5 * (traj.phi[K] - tg.phi_final) + 0.2, atol=1e-14)
     assert np.allclose(adj.r[K], 0.5 * (traj.sigma[K] - tg.sigma_final), atol=1e-14)
-    assert np.all(adj.v[K] == 0.0)
-    assert np.allclose(adj.s[K], 0.2, atol=1e-14)
+    q, r, v, s = next(march_adjoint(traj, w, tg, sc.spec))
+    assert np.array_equal(q, adj.q[K]) and np.array_equal(r, adj.r[K])
+    assert np.all(v == 0.0)
+    assert np.allclose(s, 0.2, atol=1e-14)
 
 
 def test_dose_only_cost_gives_zero_adjoint(small_run):
     sc, traj = small_run
     w = CostWeights(0, 0, 0, 0, 0, 0, 0, 0, 1.0)
     adj = solve_adjoint(traj, w, Targets.zeros(sc.spec.grid), sc.spec)
-    for arr in (adj.q, adj.r, adj.v, adj.s):
+    for arr in (adj.q, adj.r) + adjoint_levels(traj, w, Targets.zeros(sc.spec.grid), sc.spec):
         assert np.abs(arr).max() == 0.0
 
 
@@ -132,6 +142,8 @@ def test_backward_recursion_oracle():
     traj = solve_state(Control.zeros(g, K), spec)
     w = CostWeights(0, 0, 1.0, 0, 0, 0, 0, 0.7, 0)
     adj = solve_adjoint(traj, w, Targets.zeros(g), spec)
+    q, r, v, s = adjoint_levels(traj, w, Targets.zeros(g), spec)
+    assert np.array_equal(q, adj.q) and np.array_equal(r, adj.r)
 
     tau = traj.tau
     a1 = float(spec.p.value(0.0, zbar) - spec.g.value(0.0, zbar))
@@ -145,9 +157,9 @@ def test_backward_recursion_oracle():
         s_ref[m - 1] = s_ref[m] / (1.0 + tau * slope)
     for n in range(K + 1):
         assert np.abs(adj.q[n] - q_ref[n]).max() < 1e-9
-        assert np.abs(adj.s[n] - s_ref[n]).max() < 1e-9
+        assert np.abs(s[n] - s_ref[n]).max() < 1e-9
     assert np.abs(adj.r).max() < 1e-12
-    assert np.abs(adj.v).max() < 1e-12
+    assert np.abs(v).max() < 1e-12
 
 
 def test_duality_gap_shrinks_with_step():
@@ -171,3 +183,65 @@ def test_duality_gap_shrinks_with_step():
         rels.append(out["rel"])
     assert rels[0] > rels[1] > rels[2]
     assert rels[2] < 5e-2
+
+
+def test_duality_residual_rejects_mismatched_inputs(small_run):
+    sc, traj = small_run
+    w, tg = full_weights(), Targets.resting(sc.spec)
+    adj = solve_adjoint(traj, w, tg, sc.spec)
+    lin = solve_linearized(traj, sc.control, sc.spec)
+    longer = smooth_scenario(nx=8, n_steps=traj.n_steps + 2)
+    long_traj = solve_state(longer.control, longer.spec)
+    long_lin = solve_linearized(long_traj, longer.control, longer.spec)
+    long_adj = solve_adjoint(long_traj, w, tg, longer.spec)
+    run = lambda lin=lin, adj=adj, d=sc.control, w=w, tg=tg: duality_residual(
+        traj, lin, adj, d, w, tg, sc.spec
+    )
+    with pytest.raises(ValueError, match=r"^lin has levels \(11, 9, 9\), the trajectory \(9, 9, 9\)"):
+        run(lin=long_lin)
+    with pytest.raises(ValueError, match=r"^adj has levels \(11, 9, 9\)"):
+        run(adj=long_adj)
+    with pytest.raises(ValueError, match=r"^direction has levels \(11, 9, 9\)"):
+        run(d=longer.control)
+    with pytest.raises(ValueError, match=r"^direction has levels \(9, 7, 7\)"):
+        run(d=Control.zeros(Grid.unit(6, 6), traj.n_steps))
+    nan = sc.control.chi2.copy()
+    nan[3, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        run(d=Control(sc.control.chi1, nan))
+    with pytest.raises(ValueError, match="cost weights"):
+        run(w=CostWeights(alpha1=-1.0))
+    with pytest.raises(ValueError, match="z_track"):
+        run(tg=Targets(tg.phi_track, tg.phi_final, tg.sigma_track, tg.sigma_final, np.zeros((3, 3))))
+    assert run()["gap"] >= 0.0
+
+
+def sensitivity_sequence(control, directions, weights, targets, spec):
+    """The calls of the sensitivity benchmark: state, adjoint and gradient,
+    then a tangent and its duality pairing per direction, the previous
+    tangent still alive while the next one is solved."""
+    traj = solve_state(control, spec)
+    adj = solve_adjoint(traj, weights, targets, spec)
+    grad = reduced_gradient(traj, adj, weights, spec)
+    lin = None
+    for d in directions:
+        lin = solve_linearized(traj, d, spec)
+        duality_residual(traj, lin, adj, d, weights, targets, spec)
+    return grad
+
+
+def test_sweeps_and_pairings_store_only_what_they_read(traced_peak, field_bytes):
+    sc = smooth_scenario(nx=12, n_steps=120)
+    spec = sc.spec
+    rng = np.random.default_rng(3)
+    shape = sc.control.chi1.shape
+    directions = [Control(rng.uniform(0.0, 1.0, shape), rng.uniform(0.0, 1.0, shape)) for _ in range(2)]
+    solve_state(sc.control, spec)  # the cached step operators are built outside the trace
+    _, peak = traced_peak(
+        sensitivity_sequence, sc.control, directions, full_weights(), Targets.resting(spec), spec
+    )
+    # the trajectory (5 fields), q and r, the gradient (2) and two tangents
+    # (5 each) make 19; the coefficient blocks of a sweep bring the peak to
+    # 32.2 here.  It was 40.8 while the adjoint stored v and s, the tangent
+    # its strain, and the pairing built the strain of every level at once.
+    assert peak < 36 * field_bytes(spec.grid, 120)

@@ -361,15 +361,15 @@ def test_solver_error_mid_march_leaves_no_manifest(tmp_path, capsys, monkeypatch
     assert sorted(p.name for p in out.glob("phi_*")) == [f"phi_0000{n}.csv" for n in range(3)]
 
 
-def test_simulate_memory_stays_below_the_trajectory(tmp_path, capsys, traced_peak):
+def test_simulate_memory_stays_below_the_trajectory(tmp_path, capsys, traced_peak, field_bytes):
     text = "[grid]\nnx = 24\nny = 24\n[time]\nsteps = 400\n[output]\nstride = 100\n"
     # load_config is traced too: its time-constant doses are views of one level
     rc, peak = traced_peak(main, ["simulate", "--config", write_cfg(tmp_path, text),
                                   "--out", str(tmp_path / "out")])
     assert rc == 0
-    # phi, sigma, z, two displacement and three strain components per level
-    trajectory = 8 * 8 * 401 * 25 * 25
-    assert peak < trajectory / 4
+    # a quarter of a trajectory of 8 fields (phi, sigma, z, two displacement
+    # and three strain components): 1.15 fields here
+    assert peak < 2 * field_bytes(Grid.unit(24, 24), 400)
 
 
 def test_config_doses_are_read_only_views_of_one_level(tmp_path):

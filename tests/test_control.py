@@ -239,7 +239,7 @@ def test_history_csv_round_trip(inverse_run, tmp_path):
     assert abs(float(first[1]) - res.history[0][1]) < 1e-15
 
 
-def test_optimize_memory_holds_one_trial_trajectory(traced_peak):
+def test_optimize_memory_holds_one_trial_trajectory(traced_peak, field_bytes):
     # boxed and ball-constrained; iteration 2 rejects two candidates before accepting
     sc = smooth_scenario(nx=24, n_steps=32)
     spec = sc.spec
@@ -250,12 +250,11 @@ def test_optimize_memory_holds_one_trial_trajectory(traced_peak):
         optimize, spec, w, Targets.resting(spec), adm, sc.control, max_iters=2, tol=1e-4, step0=50.0
     )
     assert [row[3] for row in res.history] == [50.0, 12.5]
-    # phi, sigma, z and two displacement components per level
-    trajectory = 5 * 8 * 33 * 25 * 25
-    # the current and one trial trajectory, the strain the cost rebuilds,
-    # and a few controls: 5.3 trajectories; 10.6 while every trajectory
-    # stored its strain and rejected candidates outlived the next solve
-    assert peak < 8 * trajectory
+    # the current and one trial trajectory (phi, sigma, z and two displacement
+    # components each), the gradient and a few controls: 23.8 fields; 26.3
+    # while the cost rebuilt the strain of every level at once, 53 while every
+    # trajectory stored its strain and rejected candidates outlived the next solve
+    assert peak < 40 * field_bytes(spec.grid, 32)
 
 
 def _vi_case():

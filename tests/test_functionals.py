@@ -10,10 +10,16 @@ transposed axis or a dropped gradient term cannot cancel out.
 import numpy as np
 import pytest
 
+from tumorctrl import linearized
 from tumorctrl.adjoint import CostWeights, Targets, duality_residual, eval_cost, solve_adjoint
 from tumorctrl.control import control_inner, reduced_gradient, smoothness_norm
-from tumorctrl.grid import Grid, tensor_dot
-from tumorctrl.linearized import dose_coefficients, solve_linearized, trajectory_distance
+from tumorctrl.grid import Grid, tensor_dot, trapezoid_weights
+from tumorctrl.linearized import (
+    block_steps,
+    dose_coefficients,
+    solve_linearized,
+    trajectory_distance,
+)
 from tumorctrl.model import DefaultLogisticFamily
 from tumorctrl.state import Control, solve_state
 
@@ -114,11 +120,56 @@ def test_duality_sides_match_level_loop(case):
             + a[3] * g.inner(traj.sigma[n] - tg.sigma_track, lin.rho[n])
             + a[6] * g.inner(traj.z[n] - tg.z_track, lin.zeta[n])
             + 0.5 * a[5] * g.integrate(spec.gamma.d(traj.phi[n]) * tensor_dot(ee, ee) * lin.xi[n])
-            + a[5] * g.integrate(spec.gamma.value(traj.phi[n]) * tensor_dot(ee, lin.eps_omega[n]))
+            + a[5] * g.integrate(
+                spec.gamma.value(traj.phi[n]) * tensor_dot(ee, g.sym_grad(lin.omega[n]))
+            )
         )
     res = duality_residual(traj, lin, adj, d, case["weights"], tg, spec)
     assert_close(res["lhs"], lhs)
     assert_close(res["rhs"], rhs)
+
+
+def test_blocked_functionals_equal_whole_trajectory_reference(case, monkeypatch):
+    # the running integrands are filled in blocks and summed over the whole
+    # horizon at once, so they equal one whole-trajectory array expression
+    g, spec, traj, tg = case["g"], case["spec"], case["traj"], case["targets"]
+    adj, lin, d = case["adj"], case["lin"], case["direction"]
+    monkeypatch.setattr(linearized, "BLOCK_BYTES", 4 * 8 * g.n_nodes)
+    assert block_steps(g) == 4  # the K + 1 = 9 levels end on a partial block
+    a = case["weights"].as_array()
+    tw = traj.tau * trapezoid_weights(K)
+    quad = lambda f: float(tw @ g.integrate_levels(f))
+    eps, eps_lin = g.sym_grad(traj.u), g.sym_grad(lin.omega)
+    chi1, chi2 = traj.control.chi1, traj.control.chi2
+    running = {
+        "phi-tracking": 0.5 * a[0] * quad((traj.phi - tg.phi_track) ** 2),
+        "sigma-tracking": 0.5 * a[3] * quad((traj.sigma - tg.sigma_track) ** 2),
+        "strain-burden": 0.5 * a[5] * quad(spec.gamma.value(traj.phi) * tensor_dot(eps, eps)),
+        "z-tracking": 0.5 * a[6] * quad((traj.z - tg.z_track) ** 2),
+        "dose-effort": 0.5 * a[8] * quad(chi1 * chi1 + chi2 * chi2),
+    }
+    _, parts = eval_cost(traj, case["weights"], tg, spec)
+    for name, value in running.items():
+        assert parts[name] == value, name
+
+    a4, b4 = dose_coefficients(traj.phi, traj.z, spec)
+    lhs = quad(a4 * d.chi1 * adj.q + b4 * d.chi2 * adj.r)
+    rhs = (
+        a[1] * g.inner(traj.phi[K] - tg.phi_final, lin.xi[K])
+        + a[2] * g.integrate(lin.xi[K])
+        + a[4] * g.inner(traj.sigma[K] - tg.sigma_final, lin.rho[K])
+        + a[7] * g.integrate(lin.zeta[K])
+        + quad(
+            a[0] * (traj.phi - tg.phi_track) * lin.xi
+            + a[3] * (traj.sigma - tg.sigma_track) * lin.rho
+            + a[6] * (traj.z - tg.z_track) * lin.zeta
+            + 0.5 * a[5] * spec.gamma.d(traj.phi) * tensor_dot(eps, eps) * lin.xi
+            + a[5] * spec.gamma.value(traj.phi) * tensor_dot(eps, eps_lin)
+        )
+    )
+    res = duality_residual(traj, lin, adj, d, case["weights"], tg, spec)
+    assert res["lhs"] == lhs
+    assert res["rhs"] == rhs
 
 
 def test_control_inner_matches_level_loop(case):

@@ -305,6 +305,21 @@ def test_stress_from_strain_matches_tensor_dot_energy():
 # -- field carriers and errors ----------------------------------------------
 
 
+def test_sym_grad_of_a_stack_equals_each_level():
+    g = Grid.unit(9, 6, 1.0, 0.8)
+    u = np.random.default_rng(4).standard_normal((2, 3, 2) + g.shape)
+    e = g.sym_grad(u)
+    assert e.shape == (3, 2, 3) + g.shape
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(e[:, i, j], g.sym_grad(u[i, j]))
+    # one level is one sparse matrix-vector product
+    one = (g.sym_grad_matrix @ u[0, 0].ravel()).reshape((3,) + g.shape)
+    assert np.array_equal(g.sym_grad(u[0, 0]), one)
+    with pytest.raises(ValueError):
+        g.sym_grad(np.zeros((3,) + g.shape))
+
+
 def test_shape_mismatch_raises():
     g = Grid.unit(6, 6)
     with pytest.raises(ValueError):

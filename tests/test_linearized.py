@@ -7,7 +7,7 @@ import pytest
 
 from tumorctrl import linearized
 from tumorctrl import model as mdl
-from tumorctrl.adjoint import CostWeights, Targets, solve_adjoint
+from tumorctrl.adjoint import CostWeights, Targets, march_adjoint, solve_adjoint
 from tumorctrl.errors import DomainError
 from tumorctrl.grid import Grid, stress_from_strain, tensor_dot
 from tumorctrl.linearized import (
@@ -175,7 +175,7 @@ def reference_tangent(traj, direction, spec):
         )
         rhs = zeta[n] + tau * (co.d1 * xi[n + 1] + tensor_dot(co.d2, eps_omega[n + 1]))
         zeta[n + 1], _ = ops.damage(1.0 - tau * co.d3, rhs, "zeta-step", x0=zeta[n])
-    return xi, rho, omega, zeta
+    return xi, rho, omega, zeta, np.moveaxis(eps_omega, 1, 0)
 
 
 def reference_adjoint(traj, weights, targets, spec):
@@ -221,13 +221,16 @@ def test_blocked_sweeps_equal_per_step_reference(monkeypatch):
 
     lin = solve_linearized(traj, sc.control, sc.spec)
     want = reference_tangent(traj, sc.control, sc.spec)
-    for got, ref in zip((lin.xi, lin.rho, lin.omega, lin.zeta), want):
+    for got, ref in zip((lin.xi, lin.rho, lin.omega, lin.zeta, lin.strain()), want):
         assert np.array_equal(got, ref)
+    assert np.array_equal(lin.strain(4, 9), want[4][:, 4:9])
 
-    adj = solve_adjoint(traj, weights, targets, sc.spec)
+    levels = list(march_adjoint(traj, weights, targets, sc.spec))[::-1]
     want = reference_adjoint(traj, weights, targets, sc.spec)
-    for got, ref in zip((adj.q, adj.r, adj.v, adj.s), want):
-        assert np.array_equal(got, ref)
+    for got, ref in zip(zip(*levels), want):
+        assert np.array_equal(np.array(got), ref)
+    adj = solve_adjoint(traj, weights, targets, sc.spec)
+    assert np.array_equal(adj.q, want[0]) and np.array_equal(adj.r, want[1])
 
 
 def test_sweep_errors_name_the_step(monkeypatch, small_run):
