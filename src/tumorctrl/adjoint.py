@@ -20,8 +20,9 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .grid import tensor_dot, trapezoid_weights
-from .linearized import assemble_coefficients, block_steps, dose_coefficients
-from .state import StateTrajectory, step_operators
+from .linearized import block_steps, coefficient_levels, dose_coefficients
+from .model import eval_B
+from .state import StateTrajectory, step_operators, u_operator
 
 
 _PART_NAMES = (
@@ -184,7 +185,6 @@ def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
     weights.validate()
     g = traj.grid
     targets.validate(g)
-    chi1, chi2 = traj.control.chi1, traj.control.chi2
     a = weights.as_array()
     K = traj.n_steps
     tau = traj.tau
@@ -199,19 +199,9 @@ def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
 
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
-    B = block_steps(g)
 
-    for m in range(K, 0, -1):
-        if (K - m) % B == 0:
-            # the block holds levels m0..m, consumed downward
-            m0 = max(1, m - B + 1)
-            eps_u = traj.strain(m0, m + 1)
-            block = assemble_coefficients(
-                traj.phi[m0:m + 1], traj.sigma[m0:m + 1], traj.z[m0:m + 1],
-                eps_u, chi1[m0:m + 1], chi2[m0:m + 1], spec, step0=m0,
-            )
-        co = block.level(m - m0)
-        ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], eps_u[:, m - m0]
+    for m, co, ee in coefficient_levels(traj, spec, range(K, 0, -1), shift=0):
+        ph, sg, zz = traj.phi[m], traj.sigma[m], traj.z[m]
 
         f_q = (
             co.a1 * q
@@ -227,7 +217,8 @@ def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
         r_new = ops.robin(r + tau * f_r)
 
         load = gtw @ (co.d2 * s + a[5] * spec.gamma.value(ph) * ee).reshape(3, -1).ravel()
-        v, eps_v_new, _ = ops.displace(spec, v, load, ph, traj.z[m - 1], "v-step")
+        M_int = u_operator(spec, *eval_B(ph, traj.z[m - 1], spec), tau)
+        v, eps_v_new, _ = ops.displace(v, load, M_int, "v-step")
 
         f_s = co.a3 * q + co.b3 * r - tensor_dot(co.c2, eps_v) + a[6] * (zz - targets.z_track)
         s, _ = ops.damage(1.0 - tau * co.d3, s + tau * f_s, "s-step", x0=s)

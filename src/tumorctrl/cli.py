@@ -63,12 +63,23 @@ def _gate_passes(cfg):
     return report.ok
 
 
+def _make_outdir(cfg):
+    """Create the output directory, run before any solve; an unusable path is a ConfigError."""
+    out = Path(cfg.outdir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out}: {e}") from e
+    return out
+
+
 def cmd_simulate(cfg, args):
     """forward solve, snapshots, invariant report"""
     if args.oracle:
         _oracle_preflight(cfg)
     if not _gate_passes(cfg):
         return EXIT_FAIL
+    out = _make_outdir(cfg)
     sb = cfg.spec.separation
     spec, control, grid = cfg.spec, cfg.control0, cfg.spec.grid
     times = np.linspace(0.0, spec.T, control.n_steps + 1)
@@ -76,8 +87,6 @@ def cmd_simulate(cfg, args):
 
     # snapshots are written as the march runs and the manifest last, so a
     # directory without run.manifest holds the levels of a failed run
-    out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "run.manifest").unlink(missing_ok=True)
     d = Diagnostics.empty(control, spec)
     lo, hi, oracle_err = np.full(3, np.inf), np.full(3, -np.inf), 0.0
@@ -232,6 +241,7 @@ def cmd_optimize(cfg, args):
     """projected descent, history CSV, optimality report"""
     if not _gate_passes(cfg):
         return EXIT_FAIL
+    out = _make_outdir(cfg)
     res = optimize(
         cfg.spec,
         cfg.weights,
@@ -242,8 +252,6 @@ def cmd_optimize(cfg, args):
         tol=cfg.tol,
         step0=cfg.step0,
     )
-    out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
     write_history(out / "history.csv", res.history)
     tau = cfg.spec.T / cfg.n_steps
     for n in range(0, cfg.n_steps + 1, cfg.stride):

@@ -1,22 +1,22 @@
 """Tangent dynamics of the forward solver.
 
-solve_linearized marches the exact Frechet derivative of the discrete
-scheme: every substep differentiates the corresponding state substep at
-the stored trajectory, keeping the same implicit operators and the same
-staggering of old and new fields.  Because the tangent is exact up to the
-inner solver tolerances, comparing one linearized solve against finite
-differences of two nonlinear solves is a two-sided consistency check on
-both solvers; taylor_test packages that comparison.
+solve_linearized marches the derivative of the discrete scheme: every
+substep differentiates the corresponding state substep at the stored
+trajectory, keeping the same implicit operators and the same staggering
+of old and new fields.  It ignores the clamps of step_phi and step_sigma,
+so it is the exact Frechet derivative only where no node lies on a clamp
+bound (ROADMAP item 1).  There, comparing one linearized solve against
+finite differences of two nonlinear solves is a two-sided consistency
+check on both solvers; taylor_test packages that comparison.
 
-assemble_coefficients is the single source of the derivative's
-thirteen per-node fields, one for each way a perturbation of (tumor,
-lactate, damage, displacement, doses) enters the four equations; the
-tangent and adjoint sweeps both take their coefficients from it.  Both
-sweeps only read the stored trajectory, so they evaluate the coefficients
-for a block of block_steps(grid) time levels in one call, rebuilding the
-block's strain with traj.strain, and step through views of it; elementwise
-arithmetic does not depend on the stacking, so the result is bitwise that
-of a per-level evaluation.
+assemble_coefficients is the single source of the derivative's thirteen
+per-node coefficients, one for each way a perturbation of (tumor,
+lactate, damage, displacement, doses) enters the four equations, and of
+the moduli they differentiate.  coefficient_levels, the one walk both
+sweeps take over them, evaluates a block of block_steps(grid) time levels
+per call, rebuilding the block's strain with traj.strain, and yields
+views of it; elementwise arithmetic does not depend on the stacking, so
+the result is bitwise that of a per-level evaluation.
 """
 from dataclasses import dataclass, fields
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import model as mdl
 from .errors import DomainError
 from .grid import stress_from_strain, tensor_dot
-from .state import Control, StateTrajectory, solve_state, step_operators
+from .state import Control, StateTrajectory, solve_state, step_operators, u_operator
 
 BLOCK_BYTES = 32 * 1024
 _TENSORS = ("c1", "c2", "d2")
@@ -42,9 +42,9 @@ class LinearizedCoefficients:
 
     Scalars multiply scalar perturbations; the c and d2 entries are
     symmetric tensors in (t11, t22, t12) storage and act through the
-    double-dot product.  A block of time levels stacks the levels after
-    the tensor component: scalars are (B, ny+1, nx+1), tensors
-    (3, B, ny+1, nx+1).
+    double-dot product; mu_b and lam_b are the moduli the c entries
+    differentiate.  A block of time levels stacks the levels after the
+    tensor component: scalars are (B, ny+1, nx+1), tensors (3, B, ny+1, nx+1).
     """
 
     a1: np.ndarray
@@ -60,6 +60,8 @@ class LinearizedCoefficients:
     d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray
+    mu_b: np.ndarray
+    lam_b: np.ndarray
 
     def validate(self, step0=None):
         """Raise DomainError naming the first non-finite node of a field.
@@ -107,14 +109,14 @@ def dose_coefficients(phi, z, spec, S=None):
 def assemble_coefficients(
     phi, sigma, z, eps, chi1, chi2, spec, phi_mech=None, z_slope=None, step0=None
 ) -> LinearizedCoefficients:
-    """Evaluate all thirteen linearization coefficients at one or more levels.
+    """Evaluate the thirteen linearization coefficients at one or more levels.
 
-    phi_mech is the tumor at which the mechanical coefficients c1, c2, d1
-    and d2 are taken, z_slope the damage at which d3 is; both default to
-    the same level as the rest.  The tangent march staggers them to match
-    the state substeps.  Stacked levels, with eps component-first
-    (3, B, ny+1, nx+1), give a block; step0 is the time step of its first
-    level, named by validation errors.
+    phi_mech is the tumor at which the moduli and the mechanical
+    coefficients c1, c2, d1 and d2 are taken, z_slope the damage at which
+    d3 is; both default to the same level as the rest.  The tangent march
+    staggers them to match the state substeps.  Stacked levels, with eps
+    component-first (3, B, ny+1, nx+1), give a block; step0 is the time
+    step of its first level, named by validation errors.
     """
     phi_mech = phi if phi_mech is None else phi_mech
     z_slope = z if z_slope is None else z_slope
@@ -136,16 +138,38 @@ def assemble_coefficients(
     b3 = -k1_z * sigma / den + k1 * sigma * k2_z / den**2
     b3 = b3 + chi2 * S_z
 
-    mu_phi, mu_z = spec.B_mu.grad(phi_mech, z)
-    lam_phi, lam_z = spec.B_lam.grad(phi_mech, z)
+    mu_b, (mu_phi, mu_z) = spec.B_mu.value_grad(phi_mech, z)
+    lam_b, (lam_phi, lam_z) = spec.B_lam.value_grad(phi_mech, z)
     c1 = -stress_from_strain(mu_phi, lam_phi, eps)
     c2 = -stress_from_strain(mu_z, lam_z, eps)
 
-    d1 = -spec.psi.d_phi(phi_mech, eps)
-    d2 = -spec.psi.d_eps(phi_mech, eps)
+    psi_phi, psi_eps = spec.psi.grad(phi_mech, eps)
+    d1, d2 = -psi_phi, -psi_eps
     d3 = -(mdl.beta_prime(z_slope, spec) + mdl.pi_prime(z_slope, spec))
-    co = LinearizedCoefficients(a1, a2, a3, a4, b1, b2, b3, b4, c1, c2, d1, d2, d3)
+    co = LinearizedCoefficients(a1, a2, a3, a4, b1, b2, b3, b4, c1, c2, d1, d2, d3, mu_b, lam_b)
     return co.validate(step0)
+
+
+def coefficient_levels(traj: StateTrajectory, spec, levels, shift):
+    """Walk the linearization coefficients along traj; yields (n, coefficients, strain).
+
+    levels is a range of consecutive time levels, upward or downward,
+    yielded in that order.  Each run of block_steps(grid) of them takes one
+    assemble_coefficients call, with the strain, the mechanical tumor and
+    the damage slope at level n + shift and the rest at n.
+    """
+    B = block_steps(spec.grid)
+    for i in range(0, len(levels), B):
+        run = levels[i:i + B]
+        n0 = min(run)
+        t, s = slice(n0, n0 + len(run)), slice(n0 + shift, n0 + shift + len(run))
+        eps = traj.strain(s.start, s.stop)
+        block = assemble_coefficients(
+            traj.phi[t], traj.sigma[t], traj.z[t], eps, traj.control.chi1[t], traj.control.chi2[t],
+            spec, phi_mech=traj.phi[s], z_slope=traj.z[s], step0=n0,
+        )
+        for n in run:
+            yield n, block.level(n - n0), eps[:, n - n0]
 
 
 @dataclass
@@ -178,14 +202,14 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
     Substeps mirror the state solver: the tumor and lactate tangents take
     their coefficients from the old time level, the displacement tangent
     sees the moduli at (new tumor, old damage) contracted with the new
-    strain, and the damage tangent is implicit in its own slope.
+    strain (the moduli its coefficient block carries), and the damage
+    tangent is implicit in its own slope.
     """
     g = spec.grid
     direction.validate(g)
     K = traj.n_steps
     if direction.n_steps != K:
         raise ValueError("direction defined on a different number of steps")
-    chi1, chi2 = traj.control.chi1, traj.control.chi2
     tau = traj.tau
     shape = g.shape
 
@@ -196,18 +220,7 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
 
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
-    B = block_steps(g)
-
-    for n in range(K):
-        j = n % B
-        if j == 0:
-            n1 = min(n + B, K)
-            block = assemble_coefficients(
-                traj.phi[n:n1], traj.sigma[n:n1], traj.z[n:n1],
-                traj.strain(n + 1, n1 + 1), chi1[n:n1], chi2[n:n1], spec,
-                phi_mech=traj.phi[n + 1:n1 + 1], z_slope=traj.z[n + 1:n1 + 1], step0=n,
-            )
-        co = block.level(j)
+    for n, co, _ in coefficient_levels(traj, spec, range(K), shift=1):
         rhs = xi[n] + tau * (co.a1 * xi[n] + co.a2 * rho[n] + co.a3 * zeta[n] + co.a4 * direction.chi1[n])
         xi[n + 1] = ops.neumann(rhs)
 
@@ -215,9 +228,8 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
         rho[n + 1] = ops.robin(rhs)
 
         load = gtw @ (co.c1 * xi[n + 1] + co.c2 * zeta[n]).reshape(3, -1).ravel()
-        omega[n + 1], eps_omega, _ = ops.displace(
-            spec, omega[n], load, traj.phi[n + 1], traj.z[n], "omega-step"
-        )
+        M_int = u_operator(spec, co.mu_b, co.lam_b, tau)
+        omega[n + 1], eps_omega, _ = ops.displace(omega[n], load, M_int, "omega-step")
 
         rhs = zeta[n] + tau * (co.d1 * xi[n + 1] + tensor_dot(co.d2, eps_omega))
         zeta[n + 1], _ = ops.damage(1.0 - tau * co.d3, rhs, "zeta-step", x0=zeta[n])

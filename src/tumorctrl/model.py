@@ -31,14 +31,13 @@ from .errors import DomainError, SeparationError
 
 @dataclass(frozen=True)
 class PointMap2:
-    """Scalar map of two arguments; grad returns both analytic partials.
+    """Scalar map of two arguments with its analytic partials.
 
     value_grad returns (value, (partial_a, partial_b)) from one evaluation,
-    bitwise equal to the value and grad calls.
+    its value bitwise equal to the value call.
     """
 
     value: Callable
-    grad: Callable
     value_grad: Callable
 
 
@@ -49,45 +48,35 @@ def expit_map(lo, hi, c0, c1, c2) -> PointMap2:
     def val(a, b):
         return lo + span * expit(c0 + c1 * a + c2 * b)
 
-    def partials(e):
-        slope = span * e * (1.0 - e)
-        return c1 * slope, c2 * slope
-
-    def grad(a, b):
-        return partials(expit(c0 + c1 * a + c2 * b))
-
     def value_grad(a, b):
         e = expit(c0 + c1 * a + c2 * b)
-        return lo + span * e, partials(e)
+        slope = span * e * (1.0 - e)
+        return lo + span * e, (c1 * slope, c2 * slope)
 
-    return PointMap2(value=val, grad=grad, value_grad=value_grad)
+    return PointMap2(value=val, value_grad=value_grad)
 
 
 def constant_map(v) -> PointMap2:
     def zero(a, b):
         return 0.0 * (np.asarray(a, dtype=float) + np.asarray(b, dtype=float))
 
-    def grad(a, b):
-        z = zero(a, b)
-        return z, z
-
     def value(a, b):
         return v + zero(a, b)
 
-    return PointMap2(value=value, grad=grad, value_grad=lambda a, b: (value(a, b), grad(a, b)))
+    return PointMap2(value=value, value_grad=lambda a, b: (value(a, b), (zero(a, b),) * 2))
 
 
 @dataclass(frozen=True)
 class PsiMap:
-    """Mechanically induced damage source with analytic derivatives.
+    """Mechanically induced damage source with its analytic derivatives.
 
-    `d_eps` returns tensor components paired through tensor_dot, so
-    tensor_dot(d_eps, delta) is the directional derivative in delta.
+    grad(phi, eps) returns (d_phi, d_eps) from one evaluation.  d_eps holds
+    tensor components paired through tensor_dot, so tensor_dot(d_eps, delta)
+    is the directional derivative in delta.
     """
 
     value: Callable
-    d_phi: Callable
-    d_eps: Callable
+    grad: Callable
 
 
 @dataclass(frozen=True)
@@ -212,10 +201,6 @@ def eval_B(phi, z, spec: ModelSpec):
     return spec.B_mu.value(phi, z), spec.B_lam.value(phi, z)
 
 
-def eval_Psi(phi, eps, spec: ModelSpec):
-    return spec.psi.value(phi, eps)
-
-
 # -- default instantiation ---------------------------------------------------
 
 
@@ -281,18 +266,13 @@ class DefaultLogisticFamily:
         def value(phi, eps):
             return P * np.tanh(arg(phi, eps))
 
-        def sech2(phi, eps):
+        def grad(phi, eps):
             t = np.tanh(arg(phi, eps))
-            return 1.0 - t * t
-
-        def d_phi(phi, eps):
-            return P * sech2(phi, eps) * (a / N)
-
-        def d_eps(phi, eps):
+            sech2 = 1.0 - t * t
             # paired via tensor_dot: the shear slot carries its factor 2 there
-            return P * sech2(phi, eps) * 2.0 * b * eps
+            return P * sech2 * (a / N), P * sech2 * 2.0 * b * eps
 
-        return PsiMap(value, d_phi, d_eps)
+        return PsiMap(value, grad)
 
     def gamma_map(self) -> GammaMap:
         G, e, N = self.gamma_max, self.eta_gamma, self.N
@@ -511,8 +491,7 @@ def check_hypotheses(
 
     eps = rng.uniform(-0.6, 0.6, (3, n))
     psi = spec.psi.value(ph, eps)
-    dphi = spec.psi.d_phi(ph, eps)
-    deps = spec.psi.d_eps(ph, eps)
+    dphi, deps = spec.psi.grad(ph, eps)
     grad_norm = np.abs(dphi) + np.sqrt(deps[0] ** 2 + deps[1] ** 2 + 2 * deps[2] ** 2)
     finite = np.isfinite(psi) & np.isfinite(grad_norm)
     rows.append(

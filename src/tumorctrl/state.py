@@ -157,12 +157,13 @@ class StepOperators:
     solve_robin.  damage and displace run CG on state-dependent operators
     applied matrix-free.  The damage Jacobian adds a positive diagonal to
     laplacian = -tau*wl_neumann, so the no-flux solve preconditions it.
-    The displacement operator adds the elastic part to viscous = K_A/tau;
-    u_factor, the LU of its interior block at the reference moduli
-    A/tau + <B(phi0, z0)> (<.> the weighted domain mean), preconditions it.
-    Both are Lame forms on the same mesh, so the CG condition number is
-    bounded by the ratio of their moduli, independent of the mesh width,
-    and A/tau dominates the elastic part.
+    displace takes its operator from the caller: u_operator at the sweep's
+    moduli, the elastic part added to viscous = K_A/tau.  u_factor, the LU
+    of its interior block at the reference moduli A/tau + <B(phi0, z0)>
+    (<.> the weighted domain mean), preconditions it.  Both are Lame forms
+    on the same mesh, so the CG condition number is bounded by the ratio of
+    their moduli, independent of the mesh width, and A/tau dominates the
+    elastic part.
     """
 
     grid: object
@@ -194,15 +195,14 @@ class StepOperators:
         )
         return x.reshape(g.shape), iters
 
-    def displace(self, spec, u_old, load, phi, z, label):
-        """Solve (K_A/tau + K_B(phi, z)) u_new = K_A/tau u_old + load by CG.
+    def displace(self, u_old, load, M_int, label):
+        """Solve M_int u_new = K_A/tau u_old + load by CG, M_int from u_operator.
 
         On Dirichlet-zero interior nodes, warm-started at u_old; load is a
         weighted flat (2N,) vector.  Returns (u_new, sym_grad(u_new), iterations).
         """
         g = self.grid
         idx = g.interior_vector_indices
-        M_int = u_operator(spec, phi, z, self.tau)
         old = u_old.reshape(2, -1).ravel()
         rhs = (self.viscous @ old + load)[idx]
         sol, iters = cg_solve(M_int, rhs, x0=old[idx], label=label, precond=self.u_factor)
@@ -240,15 +240,14 @@ def step_operators(spec, tau):
     )
 
 
-def u_operator(spec, phi, z, tau):
+def u_operator(spec, mu_b, lam_b, tau):
     """Matvec of the SPD interior block of the displacement substep's operator.
 
-    Viscous part over tau plus the state-dependent elastic part, restricted
-    to interior degrees of freedom and applied matrix-free.  Both parts are
-    elastic operators, so their sum is the elastic operator at the summed
-    moduli.
+    Viscous part over tau plus the elastic part at the moduli (mu_b, lam_b),
+    restricted to interior degrees of freedom and applied matrix-free.  Both
+    parts are elastic operators, so their sum is the elastic operator at the
+    summed moduli.
     """
-    mu_b, lam_b = mdl.eval_B(phi, z, spec)
     return spec.grid.interior_elastic_operator(mu_b + spec.A_mu / tau, lam_b + spec.A_lam / tau)
 
 
@@ -272,7 +271,8 @@ def step_sigma(sigma, phi, z, chi2, sigma_cap, ops, spec):
 def step_u(u, phi_new, z, ops, spec):
     """Quasi-static viscoelastic update on Dirichlet-zero displacements."""
     load = spec.grid.vector_weights * spec.f.reshape(2, -1).ravel()
-    return ops.displace(spec, u, load, phi_new, z, "u-step")
+    M_int = u_operator(spec, *mdl.eval_B(phi_new, z, spec), ops.tau)
+    return ops.displace(u, load, M_int, "u-step")
 
 
 def step_z(z, phi_new, eps_new, ops, spec):
@@ -283,7 +283,7 @@ def step_z(z, phi_new, eps_new, ops, spec):
     the iterate stays strictly inside (0, 1).
     """
     g, tau = spec.grid, ops.tau
-    rhs = z + tau * (spec.iota - mdl.eval_Psi(phi_new, eps_new, spec))
+    rhs = z + tau * (spec.iota - spec.psi.value(phi_new, eps_new))
     v = z.copy()
     history = []
     for it in range(50):

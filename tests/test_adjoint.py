@@ -147,7 +147,7 @@ def test_backward_recursion_oracle():
 
     tau = traj.tau
     a1 = float(spec.p.value(0.0, zbar) - spec.g.value(0.0, zbar))
-    d1 = -float(spec.psi.d_phi(np.array(0.0), np.zeros(3)))
+    d1 = -float(spec.psi.grad(np.array(0.0), np.zeros(3))[0])
     slope = float(mdl.beta_prime(zbar, spec) + mdl.pi_prime(zbar, spec))
     q_ref = np.zeros(K + 1)
     s_ref = np.zeros(K + 1)

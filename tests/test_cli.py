@@ -307,6 +307,18 @@ def test_optimize_solves_each_state_and_adjoint_once(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_unusable_output_directory_is_config_error(tmp_path, capsys, monkeypatch, command):
+    # a regular file on the path leaves no directory below it creatable
+    (tmp_path / "file").write_text("")
+    marches, states = record_calls(monkeypatch, state.march, state.solve_state)
+    cfg = write_cfg(tmp_path, OPTIMIZE_SMALL)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "file" / "sub")])
+    assert rc == 2
+    assert "config error: cannot create output directory" in capsys.readouterr().err
+    assert marches == [] and states == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
 def test_separation_bounds_computed_once_per_run(tmp_path, capsys, monkeypatch, command):
     (calls,) = record_calls(monkeypatch, model.separation_bounds)
     cfg = write_cfg(tmp_path, OPTIMIZE_SMALL)

@@ -1,6 +1,7 @@
 """Source hygiene: package modules reach each other only by public names,
-every factorization (sparse LU or eigendecomposition) stays in linalg, and
-only snapshots picks a snapshot file's reader or writer."""
+every factorization (sparse LU or eigendecomposition) stays in linalg,
+only snapshots picks a snapshot file's reader or writer, and only
+linearized assembles the linearization coefficients."""
 import ast
 from pathlib import Path
 
@@ -47,3 +48,16 @@ def test_only_snapshots_picks_the_snapshot_format():
             names += [node.attr] if isinstance(node, ast.Attribute) else []
             offenders += [f"{path.name}:{node.lineno}: {n}" for n in names if n in formats]
     assert not offenders, "snapshot format chosen outside snapshots:\n" + "\n".join(offenders)
+
+
+def test_only_linearized_assembles_coefficients():
+    offenders = []
+    for path in sorted(Path(tumorctrl.__file__).parent.glob("*.py")):
+        if path.name == "linearized.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            names += [node.id] if isinstance(node, ast.Name) else []
+            names += [node.attr] if isinstance(node, ast.Attribute) else []
+            offenders += [f"{path.name}:{node.lineno}: {n}" for n in names if n == "assemble_coefficients"]
+    assert not offenders, "coefficients assembled outside linearized:\n" + "\n".join(offenders)

@@ -18,7 +18,7 @@ from tumorctrl.linearized import (
     trajectory_distance,
 )
 from tumorctrl.presets import smooth_scenario
-from tumorctrl.state import Control, solve_state, step_operators
+from tumorctrl.state import Control, solve_state, step_operators, u_operator
 
 
 @pytest.fixture(scope="module", params=["default", "k2-variable"])
@@ -170,9 +170,8 @@ def reference_tangent(traj, direction, spec):
         rhs = rho[n] + tau * (co.b1 * xi[n] + co.b2 * rho[n] + co.b3 * zeta[n] + co.b4 * direction.chi2[n])
         rho[n + 1] = ops.robin(rhs)
         load = gtw @ (co.c1 * xi[n + 1] + co.c2 * zeta[n]).reshape(3, -1).ravel()
-        omega[n + 1], eps_omega[n + 1], _ = ops.displace(
-            spec, omega[n], load, traj.phi[n + 1], traj.z[n], "omega-step"
-        )
+        M_int = u_operator(spec, *mdl.eval_B(traj.phi[n + 1], traj.z[n], spec), tau)
+        omega[n + 1], eps_omega[n + 1], _ = ops.displace(omega[n], load, M_int, "omega-step")
         rhs = zeta[n] + tau * (co.d1 * xi[n + 1] + tensor_dot(co.d2, eps_omega[n + 1]))
         zeta[n + 1], _ = ops.damage(1.0 - tau * co.d3, rhs, "zeta-step", x0=zeta[n])
     return xi, rho, omega, zeta, np.moveaxis(eps_omega, 1, 0)
@@ -204,7 +203,8 @@ def reference_adjoint(traj, weights, targets, spec):
         f_r = co.a2 * q[m] + co.b2 * r[m] + a[3] * (sg - targets.sigma_track)
         r[m - 1] = ops.robin(r[m] + tau * f_r)
         load = gtw @ (co.d2 * s[m] + a[5] * spec.gamma.value(ph) * ee).reshape(3, -1).ravel()
-        v[m - 1], eps_v[m - 1], _ = ops.displace(spec, v[m], load, ph, traj.z[m - 1], "v-step")
+        M_int = u_operator(spec, *mdl.eval_B(ph, traj.z[m - 1], spec), tau)
+        v[m - 1], eps_v[m - 1], _ = ops.displace(v[m], load, M_int, "v-step")
         f_s = co.a3 * q[m] + co.b3 * r[m] - tensor_dot(co.c2, eps_v[m]) + a[6] * (zz - targets.z_track)
         s[m - 1], _ = ops.damage(1.0 - tau * co.d3, s[m] + tau * f_s, "s-step", x0=s[m])
     return q, r, v, s
@@ -231,6 +231,32 @@ def test_blocked_sweeps_equal_per_step_reference(monkeypatch):
         assert np.array_equal(np.array(got), ref)
     adj = solve_adjoint(traj, weights, targets, sc.spec)
     assert np.array_equal(adj.q, want[0]) and np.array_equal(adj.r, want[1])
+
+
+def test_tangent_evaluates_the_moduli_once_per_block(monkeypatch, small_run):
+    # five levels per block: the 6 steps make two blocks
+    monkeypatch.setattr(linearized, "BLOCK_BYTES", 5 * 8 * 81)
+    sc, traj = small_run
+    calls = []
+
+    def counting(name, m):
+        def value(a, b):
+            # step_operators takes its reference moduli at the initial data
+            calls.append((name, "value", a is sc.spec.phi0))
+            return m.value(a, b)
+
+        def value_grad(a, b):
+            calls.append((name, "value_grad", a is sc.spec.phi0))
+            return m.value_grad(a, b)
+
+        return replace(m, value=value, value_grad=value_grad)
+
+    spec = sc.spec.with_fields(B_mu=counting("mu", sc.spec.B_mu), B_lam=counting("lam", sc.spec.B_lam))
+    lin = solve_linearized(traj, sc.control, spec)
+    reference = [(name, "value", True) for name in ("mu", "lam")]
+    blocks = [(name, "value_grad", False) for name in ("mu", "lam")] * 2
+    assert sorted(calls) == sorted(reference + blocks)
+    assert np.array_equal(lin.omega, solve_linearized(traj, sc.control, sc.spec).omega)
 
 
 def test_sweep_errors_name_the_step(monkeypatch, small_run):

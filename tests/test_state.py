@@ -125,7 +125,7 @@ def test_u_zero_data_zero_solution(small_spec):
 
 def test_u_operator_positive_definite(small_spec):
     g = small_spec.grid
-    M_int = u_operator(small_spec, const(g, 0.4), const(g, 0.5), 0.02)
+    M_int = u_operator(small_spec, *mdl.eval_B(const(g, 0.4), const(g, 0.5), small_spec), 0.02)
     rng = np.random.default_rng(13)
     for _ in range(20):
         w = rng.standard_normal(len(g.interior_vector_indices))
@@ -142,7 +142,7 @@ def test_u_operator_is_interior_of_viscous_plus_elastic(small_spec):
     K_A = g.elastic_matrix(small_spec.A_mu, small_spec.A_lam)
     idx = g.interior_vector_indices
     ref = (K_A / tau + g.elastic_matrix(mu_b, lam_b))[idx][:, idx]
-    M_int = u_operator(small_spec, phi, z, tau)
+    M_int = u_operator(small_spec, mu_b, lam_b, tau)
     rng = np.random.default_rng(6)
     for _ in range(5):
         x = rng.standard_normal(len(idx))
