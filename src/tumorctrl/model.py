@@ -136,6 +136,19 @@ class ModelSpec:
         return replace(self, **kw)
 
     @cached_property
+    def reference_moduli(self):
+        """Quadrature means of (B_mu, B_lam) at (phi0, z0), computed once per spec object.
+
+        Every sweep preconditions its displacement solves at these moduli
+        plus the viscous ones over the step.
+        """
+        g = self.grid
+        return tuple(
+            float(np.average(np.broadcast_to(b, g.shape).ravel(), weights=g.quad_weights))
+            for b in eval_B(self.phi0, self.z0, self)
+        )
+
+    @cached_property
     def _separation(self):
         try:
             return separation_bounds(self), None

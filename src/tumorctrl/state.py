@@ -29,7 +29,7 @@ import scipy.sparse as sps
 
 from . import model as mdl
 from .errors import SeparationError, SolverError
-from .linalg import cg_solve, factorize, separable_solver
+from .linalg import cg_solve, elastic_solver, separable_solver
 from .snapshots import write_manifest, write_snapshots
 
 
@@ -158,12 +158,13 @@ class StepOperators:
     applied matrix-free.  The damage Jacobian adds a positive diagonal to
     laplacian = -tau*wl_neumann, so the no-flux solve preconditions it.
     displace takes its operator from the caller: u_operator at the sweep's
-    moduli, the elastic part added to viscous = K_A/tau.  u_factor, the LU
-    of its interior block at the reference moduli A/tau + <B(phi0, z0)>
-    (<.> the weighted domain mean), preconditions it.  Both are Lame forms
-    on the same mesh, so the CG condition number is bounded by the ratio of
-    their moduli, independent of the mesh width, and A/tau dominates the
-    elastic part.
+    moduli, the elastic part added to viscous = K_A/tau.  u_factor, the
+    exact elastic_solver of the same interior block at the constant
+    reference moduli A/tau + spec.reference_moduli (the weighted domain
+    means of B(phi0, z0)), preconditions it.  Both are Lame forms on the
+    same mesh, so the CG condition number is bounded by the ratio of their
+    moduli, independent of the mesh width, and A/tau dominates the elastic
+    part.
     """
 
     grid: object
@@ -214,14 +215,11 @@ class StepOperators:
 
 @lru_cache(maxsize=16)
 def _step_operators(grid, tau, a_mu, a_lam, mu_ref, lam_ref):
-    # the factor first: built after the viscous operator it raises peak memory
-    idx = grid.interior_vector_indices
-    u_factor = factorize(grid.elastic_matrix(mu_ref, lam_ref)[idx][:, idx])
     y, x = grid.axes
     return StepOperators(
         grid=grid,
         tau=tau,
-        u_factor=u_factor,
+        u_factor=elastic_solver(grid, mu_ref, lam_ref),
         solve_neumann=separable_solver(((y.weights, y.neumann), (x.weights, x.neumann)), tau),
         solve_robin=separable_solver(((y.weights, y.robin), (x.weights, x.robin)), tau),
         laplacian=-tau * grid.wl_neumann,
@@ -231,12 +229,11 @@ def _step_operators(grid, tau, a_mu, a_lam, mu_ref, lam_ref):
 
 def step_operators(spec, tau):
     """The cached StepOperators of spec at step tau, keyed with its reference moduli."""
-    g, tau = spec.grid, float(tau)
-    mean = lambda f: float(np.average(np.broadcast_to(f, g.shape).ravel(), weights=g.quad_weights))
-    mu_b, lam_b = mdl.eval_B(spec.phi0, spec.z0, spec)
+    tau = float(tau)
+    mu_b, lam_b = spec.reference_moduli
     return _step_operators(
-        g, tau, float(spec.A_mu), float(spec.A_lam),
-        spec.A_mu / tau + mean(mu_b), spec.A_lam / tau + mean(lam_b),
+        spec.grid, tau, float(spec.A_mu), float(spec.A_lam),
+        spec.A_mu / tau + mu_b, spec.A_lam / tau + lam_b,
     )
 
 

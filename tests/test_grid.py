@@ -1,6 +1,8 @@
 """Grid operator tests: quadrature, Laplacians, strain/divergence pair, IO."""
 import numpy as np
 import pytest
+import scipy.sparse as sps
+from scipy.sparse.csgraph import connected_components
 
 from tumorctrl.grid import (
     Grid,
@@ -287,6 +289,59 @@ def test_interior_elastic_matrix_is_restricted_elastic_matrix():
     for _ in range(5):
         x = rng.standard_normal(len(idx))
         assert np.abs(K(x) - ref @ x).max() <= 1e-13 * (abs(ref) @ np.abs(x)).max()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(9, 6, 0.11, 0.17),
+        Grid.unit(8, 8),
+        Grid.unit(10, 4),
+        Grid.unit(7, 5, lx=1.3, ly=0.7),
+        Grid.unit(2, 2),
+        Grid.unit(2, 3),
+        Grid.unit(3, 3),
+    ],
+    ids=lambda g: f"{g.nx}x{g.ny}",
+)
+def test_interior_displacement_block_is_centred_part_plus_layer_diagonal(grid):
+    # the structure linalg.elastic_solver relies on, at constant moduli
+    g, mu, lam = grid, 1.3, 0.45
+    idx = g.interior_vector_indices
+    block = g.elastic_matrix(mu, lam)[idx][:, idx]
+    # centred part: the same form with the boundary nodes' quadrature weights zeroed
+    c = np.array([[2.0 * mu + lam, lam, 0.0], [lam, 2.0 * mu + lam, 0.0], [0.0, 0.0, 2.0 * mu]])
+    interior = np.tile(~g.boundary_mask.ravel(), 3)
+    gi = g.sym_grad_matrix[:, idx]
+    centred = gi.T @ sps.diags(g.tensor_weights * interior) @ sps.kron(c, sps.eye(g.n_nodes)) @ gi
+    scale = abs(block).max()
+
+    # the closure rows add a diagonal on the first interior layer only
+    closure = (block - centred).toarray()
+    assert np.abs(closure - np.diag(np.diag(closure))).max() <= 1e-14 * scale
+    j, i = np.divmod((~g.boundary_mask).ravel().nonzero()[0], g.nx + 1)
+    c_x = (i == 1).astype(float) + (i == g.nx - 1)
+    c_y = (j == 1).astype(float) + (j == g.ny - 1)
+    p, rx, ry = 2.0 * mu + lam, g.hy / (2.0 * g.hx), g.hx / (2.0 * g.hy)
+    d = np.concatenate([c_x * p * rx + c_y * mu * ry, c_x * mu * rx + c_y * p * ry])
+    assert np.abs(np.diag(closure) - d).max() <= 1e-14 * scale
+
+    # u_x on parity class (j, i) couples only with u_y on the flipped class
+    field = np.repeat([0, 1], len(j))
+    key = 2 * ((np.tile(j, 2) + field) % 2) + (np.tile(i, 2) + field) % 2
+    rows, cols = centred.nonzero()
+    assert np.array_equal(key[rows], key[cols])
+    if min(g.nx, g.ny) >= 4:
+        assert connected_components(centred != 0, directed=False)[0] == 4
+
+    # two kernel vectors, the odd-odd constants of u_x and u_y, iff nx and ny are even
+    eig = np.linalg.eigvalsh(centred.toarray())
+    both_even = g.nx % 2 == 0 and g.ny % 2 == 0
+    assert np.sum(eig <= 1e-12 * eig.max()) == (2 if both_even else 0)
+    if both_even:
+        odd_odd = ((j % 2 == 1) & (i % 2 == 1)).astype(float)
+        for constant in (np.concatenate([odd_odd, 0 * odd_odd]), np.concatenate([0 * odd_odd, odd_odd])):
+            assert np.abs(centred @ constant).max() <= 1e-14 * scale
 
 
 def test_stress_from_strain_matches_tensor_dot_energy():

@@ -1,8 +1,12 @@
 """Source hygiene: package modules reach each other only by public names,
-every factorization (sparse LU or eigendecomposition) stays in linalg,
-only snapshots picks a snapshot file's reader or writer, and only
-linearized assembles the linearization coefficients."""
+every factorization (sparse LU, eigen- or singular value decomposition)
+stays in linalg, only snapshots picks a snapshot file's reader or writer,
+only linearized assembles the linearization coefficients, and the command
+line loads no sparse factorization."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tumorctrl
@@ -32,7 +36,7 @@ def test_only_linalg_factorizes():
             names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
             names += [node.id] if isinstance(node, ast.Name) else []
             names += [node.attr] if isinstance(node, ast.Attribute) else []
-            offenders += [f"{path.name}:{node.lineno}: {n}" for n in names if n in ("splu", "eigh")]
+            offenders += [f"{path.name}:{node.lineno}: {n}" for n in names if n in ("splu", "eigh", "svd")]
     assert not offenders, "factorization outside linalg:\n" + "\n".join(offenders)
 
 
@@ -61,3 +65,15 @@ def test_only_linearized_assembles_coefficients():
             names += [node.attr] if isinstance(node, ast.Attribute) else []
             offenders += [f"{path.name}:{node.lineno}: {n}" for n in names if n == "assemble_coefficients"]
     assert not offenders, "coefficients assembled outside linearized:\n" + "\n".join(offenders)
+
+
+def test_cli_import_loads_no_sparse_linalg():
+    # scipy.sparse.linalg costs memory and start-up time in every run
+    code = "import sys, tumorctrl.cli; assert 'scipy.sparse.linalg' not in sys.modules"
+    src = str(Path(tumorctrl.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr

@@ -1,30 +1,43 @@
-"""Kernel tests: the separable diffusion solve and the sparse factor against
-reference solves."""
+"""Kernel tests: the separable diffusion solve and the exact displacement
+solve against reference sparse solves."""
 import numpy as np
 import pytest
 import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
 from tumorctrl.grid import Grid
-from tumorctrl.linalg import factorize, separable_solver
+from tumorctrl.linalg import elastic_solver, separable_solver
 
 
-def test_factorize_solves_diffusion_and_displacement_operators():
-    g = Grid(9, 6, 0.11, 0.17)
-    x, y = g.meshes
-    mu = 1.0 + 0.3 * np.sin(2.0 * x) * np.cos(3.0 * y)
-    lam = 0.4 + 0.2 * x * y
-    tau = 0.03
-    w = sps.diags(g.quad_weights)
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(9, 6, 0.11, 0.17),
+        Grid.unit(8, 8),
+        Grid.unit(10, 4),
+        Grid.unit(7, 5, lx=1.3, ly=0.7),
+        Grid.unit(2, 2),
+        Grid.unit(2, 3),
+        Grid.unit(3, 3),
+    ],
+    ids=lambda g: f"{g.nx}x{g.ny}",
+)
+def test_elastic_solver_matches_sparse_solve_and_is_symmetric(grid):
+    # 8x8 and 10x4 have both cell counts even: the centred part is singular there
+    mu, lam = 1.3, 0.45
+    idx = grid.interior_vector_indices
+    A = grid.elastic_matrix(mu, lam)[idx][:, idx].tocsc()
+    solve = elastic_solver(grid, mu, lam)
     rng = np.random.default_rng(21)
-    diffusion = [w - tau * w @ lap for lap in (g.lap_neumann_matrix, g.robin_linear_matrix)]
-    idx = g.interior_vector_indices
-    for A in diffusion + [g.elastic_matrix(mu, lam)[idx][:, idx]]:
-        b = rng.standard_normal(A.shape[0])
-        sol = factorize(A)(b)
-        ref = spsolve(A.tocsc(), b)
+    for _ in range(3):
+        b, v = rng.standard_normal((2, A.shape[0]))
+        sol = solve(b)
+        ref = spsolve(A, b)
         assert np.linalg.norm(A @ sol - b) <= 1e-12 * np.linalg.norm(b)
         assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
+        # CG needs a symmetric preconditioner
+        sv = solve(v)
+        assert abs(v @ sol - b @ sv) <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(sol)
 
 
 @pytest.mark.parametrize("tau", [0.03, 1.0])

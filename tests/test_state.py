@@ -1,13 +1,14 @@
 """Forward solver tests: substep oracles, invariants, convergence orders."""
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
 from tumorctrl.grid import Grid
-from tumorctrl import linalg, linearized
+from tumorctrl import linalg, linearized, state
 from tumorctrl import model as mdl
 from tumorctrl.presets import bounds_stress_scenario, ode_rhs, ode_scenario, smooth_scenario
 from tumorctrl.adjoint import CostWeights, Targets, solve_adjoint
@@ -202,13 +203,13 @@ def test_sweeps_assemble_no_sparse_matrix_per_step(monkeypatch):
 
 def test_sweeps_share_one_factorization(monkeypatch):
     calls = []
-    original = linalg.splu
+    original = state.elastic_solver
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "splu", counted)
+    monkeypatch.setattr(state, "elastic_solver", counted)
     # a step no other test uses, so every cached factor starts cold
     sc = smooth_scenario(nx=8, n_steps=12, T=0.37)
     traj = solve_state(sc.control, sc.spec)
@@ -216,6 +217,26 @@ def test_sweeps_share_one_factorization(monkeypatch):
     solve_adjoint(traj, CostWeights(), Targets.resting(sc.spec), sc.spec)
     # only the shared displacement preconditioner; diffusion solves are separable
     assert len(calls) == 1
+
+
+def test_sweeps_on_one_spec_evaluate_the_reference_moduli_once():
+    sc = smooth_scenario(nx=8, n_steps=6)
+    calls = []
+
+    def counting(name, m):
+        def value(a, b):
+            if a is spec.phi0:
+                calls.append(name)
+            return m.value(a, b)
+
+        return replace(m, value=value)
+
+    spec = sc.spec.with_fields(B_mu=counting("mu", sc.spec.B_mu), B_lam=counting("lam", sc.spec.B_lam))
+    traj = solve_state(sc.control, spec)
+    solve_linearized(traj, sc.control, spec)
+    solve_adjoint(traj, CostWeights(), Targets.resting(spec), spec)
+    # the preconditioner's moduli at (phi0, z0) are a property of the spec
+    assert sorted(calls) == ["lam", "mu"]
 
 
 def test_step_operators_are_cached(small_spec):
