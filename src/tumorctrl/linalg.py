@@ -18,12 +18,12 @@ Each kind of solve has one kernel here:
   matrix-free as stencil products and never assembled.
 
 No sparse factorization is left: both direct solves are dense products of
-one-axis size.
+one-axis size.  Their set-up takes numpy.linalg's eigh, svd and inv of
+small dense matrices, so the package loads no scipy.linalg.
 """
 import math
 
 import numpy as np
-from scipy.linalg import eigh, inv, svd
 
 from .errors import SolverError
 
@@ -43,9 +43,11 @@ def separable_solver(axes, tau):
 
     so a solve is four dense products of one-axis size (fast
     diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).  The
-    solve takes and returns flattened vectors.
+    solve takes and returns flattened vectors.  Each 1D problem is solved as
+    the ordinary symmetric one of w^-1/2 (-diag(w) A) w^-1/2 = V diag(lam) V^T,
+    whose orthonormal V gives Q = w^-1/2 V.
     """
-    (ly, qy), (lx, qx) = (eigh(-(w[:, None] * a.toarray()), np.diag(w)) for w, a in axes)
+    (ly, qy), (lx, qx) = (_generalized_modes(w, a.toarray()) for w, a in axes)
     scale = 1.0 / (1.0 + tau * np.add.outer(ly, lx))
 
     def solve(b):
@@ -53,6 +55,13 @@ def separable_solver(axes, tau):
         return (qy @ (y * scale) @ qx.T).ravel()
 
     return solve
+
+
+def _generalized_modes(w, a):
+    """(lam, Q) with -diag(w) a Q = diag(w) Q diag(lam) and Q^T diag(w) Q = I, lam ascending."""
+    r = 1.0 / np.sqrt(w)
+    lam, v = np.linalg.eigh(-(np.sqrt(w)[:, None] * a * r))
+    return lam, r[:, None] * v
 
 
 def _centred_modes(n, h):
@@ -72,7 +81,7 @@ def _centred_modes(n, h):
     d[k, k] = -0.5 / h
     k = k[k + 1 < m]
     d[k, k + 1] = 0.5 / h
-    u, s, vt = svd(d)
+    u, s, vt = np.linalg.svd(d)
     if n % 2 == 0:
         s[-1] = 0.0
     return s, np.stack([vt.T, u])
@@ -207,7 +216,7 @@ def elastic_solver(grid, mu, lam):
             border = np.concatenate([ay[f][:, -1] * ax[f][:, -1] * (f == cy) for f in (0, 1)])
             cap = np.block([[cap, border[:, None]], [border[None, :], np.zeros((1, 1))]])
             idx.append([n_r + n_c + cy])
-        blocks.append((np.concatenate(idx), inv(cap)))
+        blocks.append((np.concatenate(idx), np.linalg.inv(cap)))
 
     # one batch over the components, padded by identity rows on a zero entry
     size = max(len(i) for i, _ in blocks)
@@ -256,8 +265,12 @@ def cg_solve(A, b, x0=None, label="cg", precond=None):
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     maxiter = int(math.ceil(10.0 * math.sqrt(b.size)))
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - A(x)
+    if x0 is None:
+        # the cold start's residual is b itself: no product with zero
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - A(x)
     resid = np.linalg.norm(r)
     if resid <= CG_RTOL * bnorm:
         return x, 0

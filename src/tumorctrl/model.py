@@ -24,9 +24,17 @@ from time import perf_counter
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, SeparationError
+
+
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)) of a scalar or an array.
+
+    Arguments below -709 are raised to it, where exp(-x) would overflow; the
+    value there is below 1.3e-308 either way.
+    """
+    return 1.0 / (1.0 + np.exp(np.minimum(-x, 709.0)))
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,10 @@ class StepOperators:
     applied matrix-free.  The damage Jacobian adds a positive diagonal to
     laplacian = -tau*wl_neumann, so the no-flux solve preconditions it.
     displace takes its operator from the caller: u_operator at the sweep's
-    moduli, the elastic part added to viscous = K_A/tau.  u_factor, the
+    moduli, the elastic part added to the viscous one K_A/tau.  viscous
+    applies the interior block of K_A/tau matrix-free; displace needs no
+    more of it, because the old displacement vanishes on the boundary, so
+    no elastic matrix is assembled.  u_factor, the
     exact elastic_solver of the same interior block at the constant
     reference moduli A/tau + spec.reference_moduli (the weighted domain
     means of B(phi0, z0)), preconditions it.  Both are Lame forms on the
@@ -173,7 +176,7 @@ class StepOperators:
     solve_neumann: Callable
     solve_robin: Callable
     laplacian: sps.csr_matrix
-    viscous: sps.spmatrix
+    viscous: Callable
 
     def neumann(self, f):
         """Solve (I - tau*L_neumann) x = f exactly."""
@@ -199,14 +202,15 @@ class StepOperators:
     def displace(self, u_old, load, M_int, label):
         """Solve M_int u_new = K_A/tau u_old + load by CG, M_int from u_operator.
 
-        On Dirichlet-zero interior nodes, warm-started at u_old; load is a
-        weighted flat (2N,) vector.  Returns (u_new, sym_grad(u_new), iterations).
+        On Dirichlet-zero interior nodes, warm-started at u_old, which
+        vanishes on the boundary; load is a weighted flat (2N,) vector.
+        Returns (u_new, sym_grad(u_new), iterations).
         """
         g = self.grid
         idx = g.interior_vector_indices
-        old = u_old.reshape(2, -1).ravel()
-        rhs = (self.viscous @ old + load)[idx]
-        sol, iters = cg_solve(M_int, rhs, x0=old[idx], label=label, precond=self.u_factor)
+        old = u_old.ravel()[idx]
+        rhs = self.viscous(old) + load[idx]
+        sol, iters = cg_solve(M_int, rhs, x0=old, label=label, precond=self.u_factor)
         full = np.zeros(2 * g.n_nodes)
         full[idx] = sol
         u_new = full.reshape((2,) + g.shape)
@@ -223,7 +227,7 @@ def _step_operators(grid, tau, a_mu, a_lam, mu_ref, lam_ref):
         solve_neumann=separable_solver(((y.weights, y.neumann), (x.weights, x.neumann)), tau),
         solve_robin=separable_solver(((y.weights, y.robin), (x.weights, x.robin)), tau),
         laplacian=-tau * grid.wl_neumann,
-        viscous=grid.elastic_matrix(a_mu, a_lam) / tau,
+        viscous=grid.interior_elastic_operator(a_mu / tau, a_lam / tau),
     )
 
 

@@ -2,7 +2,7 @@
 every factorization (sparse LU, eigen- or singular value decomposition)
 stays in linalg, only snapshots picks a snapshot file's reader or writer,
 only linearized assembles the linearization coefficients, and the command
-line loads no sparse factorization."""
+line loads neither scipy.sparse.linalg nor scipy.linalg nor scipy.special."""
 import ast
 import os
 import subprocess
@@ -68,8 +68,11 @@ def test_only_linearized_assembles_coefficients():
 
 
 def test_cli_import_loads_no_sparse_linalg():
-    # scipy.sparse.linalg costs memory and start-up time in every run
-    code = "import sys, tumorctrl.cli; assert 'scipy.sparse.linalg' not in sys.modules"
+    # each of these costs memory and start-up time in every run
+    code = (
+        "import sys, tumorctrl.cli; assert 'scipy.sparse.linalg' not in sys.modules; "
+        "loaded = {'scipy.linalg', 'scipy.special'} & set(sys.modules); assert not loaded, loaded"
+    )
     src = str(Path(tumorctrl.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(

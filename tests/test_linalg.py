@@ -1,12 +1,12 @@
 """Kernel tests: the separable diffusion solve and the exact displacement
-solve against reference sparse solves."""
+solve against reference sparse solves, and CG's cold start."""
 import numpy as np
 import pytest
 import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
 from tumorctrl.grid import Grid
-from tumorctrl.linalg import elastic_solver, separable_solver
+from tumorctrl.linalg import cg_solve, elastic_solver, separable_solver
 
 
 @pytest.mark.parametrize(
@@ -67,3 +67,19 @@ def test_laplacians_are_kronecker_sums_of_the_axis_factors():
     for mat, kind in ((g.lap_neumann_matrix, "neumann"), (g.robin_linear_matrix, "robin")):
         ref = sps.kron(iy, getattr(x, kind)) + sps.kron(getattr(y, kind), ix)
         assert abs(mat - ref).max() == 0.0
+
+
+def test_cg_cold_start_skips_the_product_with_zero():
+    g = Grid(9, 6, 0.11, 0.17)
+    A = (sps.diags(g.quad_weights) - 0.5 * g.wl_neumann).tocsr()
+    b = np.random.default_rng(3).standard_normal(g.n_nodes)
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return A @ v
+
+    x, iters = cg_solve(counted, b)
+    assert iters > 0 and len(calls) == iters
+    warm, _ = cg_solve(counted, b, x0=np.zeros_like(b))
+    assert np.array_equal(x, warm)

@@ -1,4 +1,6 @@
 """Model tests: formulas, derivative consistency, hypotheses, barriers."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,32 @@ def test_barrier_logit_roundtrip(spec):
     # |t| kept moderate: 1 - expit(t) loses digits near the float floor
     t = np.linspace(-12, 12, 25)
     assert np.allclose(M.beta(expit(t), spec), spec.C1 * t, rtol=1e-9, atol=1e-9)
+
+
+def test_expit_matches_scipy():
+    from scipy.special import expit
+
+    x = np.linspace(-700.0, 700.0, 10_000)
+    # NumPy's vectorized exp and the C library's differ by up to 1 ulp,
+    # which the reciprocal can round into 2
+    np.testing.assert_array_max_ulp(M.expit(x), expit(x), maxulp=2)
+
+
+@pytest.mark.parametrize("x", [0.3, -2.5, np.array(4.0)], ids=["float", "negative", "0-d"])
+def test_expit_takes_scalars(x):
+    from scipy.special import expit
+
+    got = M.expit(x)
+    assert np.ndim(got) == 0
+    assert float(got) == pytest.approx(float(expit(x)), rel=1e-15)
+
+
+def test_expit_saturates_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = np.array([M.expit(-800.0), M.expit(800.0), *M.expit(np.array([-800.0, 800.0]))])
+    assert np.all(np.isfinite(out))
+    assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 def test_barrier_prime_positive(spec):

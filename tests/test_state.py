@@ -150,6 +150,21 @@ def test_u_operator_is_interior_of_viscous_plus_elastic(small_spec):
         assert np.abs(M_int(x) - ref @ x).max() <= 1e-13 * (abs(ref) @ np.abs(x)).max()
 
 
+def test_viscous_product_is_interior_rows_of_assembled_form(small_spec):
+    g = small_spec.grid
+    tau = 0.02
+    idx = g.interior_vector_indices
+    K_A = g.elastic_matrix(small_spec.A_mu, small_spec.A_lam)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        # the old displacement vanishes on the boundary
+        old = np.zeros(2 * g.n_nodes)
+        old[idx] = rng.standard_normal(len(idx))
+        ref = (K_A / tau @ old)[idx]
+        got = step_operators(small_spec, tau).viscous(old[idx])
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_damage_jacobian_matches_assembled_form(small_spec):
     g = small_spec.grid
     rng = np.random.default_rng(4)
@@ -178,8 +193,8 @@ def test_elastic_assembly_is_not_repeated_per_step(monkeypatch):
     traj = solve_state(sc.control, sc.spec)
     solve_linearized(traj, sc.control, sc.spec)
     solve_adjoint(traj, CostWeights(), Targets.resting(sc.spec), sc.spec)
-    # the interior pattern and the viscous operator, each at most once
-    assert len(calls) <= 2
+    # every elastic operator, the viscous one included, is applied matrix-free
+    assert len(calls) == 0
 
 
 def test_sweeps_assemble_no_sparse_matrix_per_step(monkeypatch):
