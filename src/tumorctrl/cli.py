@@ -180,7 +180,7 @@ def cmd_gradient_check(cfg, args):
     """tangent slope test plus adjoint-vs-difference table"""
     if not _gate_passes(cfg):
         return EXIT_FAIL
-    levels = 1 + max(0, args.refine)
+    levels = 1 + args.refine
     rng = np.random.default_rng(cfg.seed)
     print(f"tolerance anchor: {_GRAD_TOL:.1e} at {_REF_NX}x{_REF_NX}, "
           f"scaled by the coarsening factor")
@@ -299,6 +299,13 @@ def cmd_hypothesis_check(cfg, args):
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
+def _nonnegative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 _DISPATCH = {
     "simulate": cmd_simulate,
     "gradient-check": cmd_gradient_check,
@@ -322,7 +329,7 @@ def _build_parser():
             p.add_argument("--oracle", action="store_true",
                            help="compare a homogeneous run against the pointwise oracle")
         if name == "gradient-check":
-            p.add_argument("--refine", type=int, default=0, metavar="N",
+            p.add_argument("--refine", type=_nonnegative_int, default=0, metavar="N",
                            help="additional simultaneous step/mesh refinements")
     return parser
 

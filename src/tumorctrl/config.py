@@ -16,8 +16,9 @@ expression language::
 
 Doses are constant in time; time-varying schedules come from the
 optimizer, not from configuration.  k1_const / k2_const / s_const
-replace the corresponding kinetic maps with constants, which is what
-makes a homogeneous run genuinely reducible to pointwise equations.
+replace the corresponding kinetic maps, and with them their ranges, by
+constants, which is what makes a homogeneous run genuinely reducible to
+pointwise equations.
 
 A parsed RunConfig can re-assemble itself at a 2^m refined space-time
 resolution (`at_scale`), used by the refinement studies; snapshot-file
@@ -25,7 +26,7 @@ fields cannot be rescaled and reject that path.
 """
 import configparser
 import math
-from dataclasses import dataclass, fields, replace as dc_replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -220,9 +221,6 @@ class RunConfig:
         for key, value in self.const_kinetics.items():
             attr = {"k1_const": "k1", "k2_const": "k2", "s_const": "S"}[key]
             overrides[attr] = constant_map(value)
-        if "k2" in overrides:
-            # the lower kinetic bound must track the replacement constant
-            overrides["bounds"] = dc_replace(spec.bounds, k2_low=self.const_kinetics["k2_const"])
         if overrides:
             spec = spec.with_fields(**overrides)
 
@@ -302,6 +300,8 @@ def load_config(path) -> RunConfig:
     for ini_key, attr in _FAMILY_KEYS.items():
         if ini_key in s_model.data:
             family_kw[attr] = s_model.get_float(ini_key, None)
+    if "N" in family_kw and family_kw["N"] <= 0:
+        raise ConfigError(f"[model] n must be positive, got {family_kw['N']}")
     family_kw["k2_variable"] = s_model.get_bool("k2_variable", False)
     const_kinetics = {}
     for key in _CONST_KINETICS:

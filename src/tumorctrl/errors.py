@@ -6,15 +6,7 @@ class ConfigError(Exception):
 
 
 class SolverError(Exception):
-    """An iterative solver failed to converge.
-
-    Carries optional diagnostic payload (residual history) so callers can
-    report what happened without re-running.
-    """
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = list(history) if history is not None else []
+    """An iterative solver failed to converge; the message names its last residual."""
 
 
 class DomainError(ValueError):

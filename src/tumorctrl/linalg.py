@@ -277,20 +277,17 @@ def cg_solve(A, b, x0=None, label="cg", precond=None):
     z = r if precond is None else precond(r)
     p = z.copy()
     rz = float(r @ z)
-    history = [resid / bnorm]
     for k in range(1, maxiter + 1):
         Ap = A(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise SolverError(
-                f"{label}: operator lost positive definiteness (p.Ap = {pAp:.3e})",
-                history,
+                f"{label}: operator lost positive definiteness (p.Ap = {pAp:.3e})"
             )
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         resid = np.linalg.norm(r)
-        history.append(resid / bnorm)
         if resid <= CG_RTOL * bnorm:
             return x, k
         z = r if precond is None else precond(r)
@@ -299,6 +296,5 @@ def cg_solve(A, b, x0=None, label="cg", precond=None):
         rz = rz_new
     raise SolverError(
         f"{label}: no convergence in {maxiter} iterations "
-        f"(relative residual {resid / bnorm:.3e})",
-        history,
+        f"(relative residual {resid / bnorm:.3e})"
     )

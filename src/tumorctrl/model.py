@@ -1,10 +1,14 @@
-"""Model data: nonlinearities, bounds, hypothesis checks, damage barriers.
+"""Model data: nonlinearities, their ranges, hypothesis checks, damage barriers.
 
 Everything problem-specific lives here.  A ModelSpec bundles the reaction
 maps p, g, the lactate kinetics k1, k2, S, the elasticity moduli, the
 damage potential constants, the coupling maps Psi and gamma, and all data
 fields (initial states, body force, damage source, boundary lactate).
 Evaluations are pure; the spec is frozen after construction.
+
+Each map carries its own range: a PointMap2 its window [lo, hi], Psi and
+gamma a bound.  Whoever builds a map states its range there and nowhere
+else, so replacing a map (a constant kinetic, say) replaces its range too.
 
 The damage potential is the logarithmic double-well split into a convex
 part with derivative beta(r) = C1*log(r/(1-r)) and a concave perturbation
@@ -13,10 +17,10 @@ damage stays strictly inside (0,1) provided the source terms are small
 enough; `separation_bounds` computes certified barrier radii by bisecting
 beta + pi against the worst-case source magnitude.
 
-`check_hypotheses` samples every structural requirement (bound windows,
-positivity, Lipschitz constants, data ranges) on randomized argument
-grids and reports the worst witness per condition, so a custom model can
-be validated numerically instead of by inspection.
+`check_hypotheses` samples every structural requirement (each map against
+its stated range, positivity, Lipschitz constants, data ranges) on
+randomized argument grids and reports the worst witness per condition, so
+a custom model can be validated numerically instead of by inspection.
 """
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -39,14 +43,16 @@ def expit(x):
 
 @dataclass(frozen=True)
 class PointMap2:
-    """Scalar map of two arguments with its analytic partials.
+    """Scalar map of two arguments with its analytic partials and its range.
 
     value_grad returns (value, (partial_a, partial_b)) from one evaluation,
-    its value bitwise equal to the value call.
+    its value bitwise equal to the value call.  Every value lies in [lo, hi].
     """
 
     value: Callable
     value_grad: Callable
+    lo: float
+    hi: float
 
 
 def expit_map(lo, hi, c0, c1, c2) -> PointMap2:
@@ -61,17 +67,21 @@ def expit_map(lo, hi, c0, c1, c2) -> PointMap2:
         slope = span * e * (1.0 - e)
         return lo + span * e, (c1 * slope, c2 * slope)
 
-    return PointMap2(value=val, value_grad=value_grad)
+    return PointMap2(value=val, value_grad=value_grad, lo=lo, hi=hi)
 
 
 def constant_map(v) -> PointMap2:
+    """The constant v, with the one-point range [v, v]."""
+
     def zero(a, b):
         return 0.0 * (np.asarray(a, dtype=float) + np.asarray(b, dtype=float))
 
     def value(a, b):
         return v + zero(a, b)
 
-    return PointMap2(value=value, value_grad=lambda a, b: (value(a, b), (zero(a, b),) * 2))
+    return PointMap2(
+        value=value, value_grad=lambda a, b: (value(a, b), (zero(a, b),) * 2), lo=v, hi=v
+    )
 
 
 @dataclass(frozen=True)
@@ -80,11 +90,12 @@ class PsiMap:
 
     grad(phi, eps) returns (d_phi, d_eps) from one evaluation.  d_eps holds
     tensor components paired through tensor_dot, so tensor_dot(d_eps, delta)
-    is the directional derivative in delta.
+    is the directional derivative in delta.  |value| never exceeds bound.
     """
 
     value: Callable
     grad: Callable
+    bound: float
 
 
 @dataclass(frozen=True)
@@ -93,23 +104,12 @@ class GammaMap:
 
     Space dependence, when wanted, is baked into the callables by closing
     over grid coordinates; the evaluations receive full phi arrays.
+    |value| + |d| never exceeds bound.
     """
 
     value: Callable
     d: Callable
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    p_star: float
-    g_star: float
-    k1_star: float
-    k2_low: float
-    k2_star: float
-    S_star: float
-    psi_max: float
-    b_mu_min: float
-    gamma_bound: float
+    bound: float
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,6 @@ class ModelSpec:
     z0: np.ndarray
     M0: float
     T: float
-    bounds: BoundConstants
 
     def with_fields(self, **kw) -> "ModelSpec":
         return replace(self, **kw)
@@ -293,7 +292,7 @@ class DefaultLogisticFamily:
             # paired via tensor_dot: the shear slot carries its factor 2 there
             return P * sech2 * (a / N), P * sech2 * 2.0 * b * eps
 
-        return PsiMap(value, grad)
+        return PsiMap(value, grad, P)
 
     def gamma_map(self) -> GammaMap:
         G, e, N = self.gamma_max, self.eta_gamma, self.N
@@ -305,7 +304,8 @@ class DefaultLogisticFamily:
             s = expit(e * (phi / N - 0.5))
             return G * s * (1.0 - s) * e / N
 
-        return GammaMap(value, d)
+        # |value| + |d| <= G*(1 + e/(4N)), since expit' <= 1/4
+        return GammaMap(value, d, G * (1.0 + e / (4.0 * N)) + 1e-9)
 
     def k2_map(self) -> PointMap2:
         if not self.k2_variable:
@@ -321,18 +321,6 @@ class DefaultLogisticFamily:
         f = np.stack([0.01 * np.sin(np.pi * x / grid.lx), -0.005 * np.ones_like(x)])
         iota = np.full(grid.shape, self.iota_const)
         sigma_gamma = np.full(grid.shape, 0.6 * self.M0)
-        k2_low = self.k2_low if self.k2_variable else self.k2_star
-        bounds = BoundConstants(
-            p_star=self.p_star,
-            g_star=self.g_star,
-            k1_star=self.k1_star,
-            k2_low=k2_low,
-            k2_star=self.k2_star,
-            S_star=self.S_star,
-            psi_max=self.psi_max,
-            b_mu_min=self.mu_min,
-            gamma_bound=self.gamma_max * (1.0 + self.eta_gamma / (4.0 * self.N)) + 1e-9,
-        )
         return ModelSpec(
             grid=grid,
             N=self.N,
@@ -358,7 +346,6 @@ class DefaultLogisticFamily:
             z0=z0,
             M0=self.M0,
             T=self.T,
-            bounds=bounds,
         )
 
 
@@ -400,14 +387,21 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def _row_from_margins(name, margins, args, note=""):
-    """Collect min margin over samples; negative margin means violation."""
+def _row_from_margins(name, margins, args, note="", floor=None):
+    """Collect min margin over samples; negative margin means violation.
+
+    A floor is a range bound that must be strictly positive: it joins the
+    margins, and the row fails when it is <= 0.
+    """
     margins = np.asarray(margins, dtype=float)
+    if floor is not None:
+        margins = np.minimum(margins, floor)
     if not np.all(np.isfinite(margins)):
         i = int(np.argmax(~np.isfinite(margins)))
         return HypothesisRow(name, False, float("-inf"), _witness(args, i), "non-finite")
     i = int(np.argmin(margins))
-    return HypothesisRow(name, bool(margins[i] >= 0.0), float(margins[i]), _witness(args, i), note)
+    ok = margins[i] >= 0.0 and (floor is None or floor > 0.0)
+    return HypothesisRow(name, bool(ok), float(margins[i]), _witness(args, i), note)
 
 
 def _witness(args, i):
@@ -423,14 +417,15 @@ def check_hypotheses(
 ) -> HypothesisReport:
     """Sample every structural condition; report worst witness per row.
 
-    Argument boxes extend past the physical ranges so that saturation of
-    the default maps is actually exercised.  `weights` and `targets`
-    (cost data) are optional; their rows appear only when provided.
+    Each map is sampled against the range it carries.  Argument boxes
+    extend past the physical ranges so that saturation of the default maps
+    is actually exercised.  The k2 window and the B_mu modulus must have a
+    strictly positive floor.  `weights` and `targets` (cost data) are
+    optional; their rows appear only when provided.
     """
     t0 = perf_counter()
     rng = rng or np.random.default_rng(0)
     n = sample_budget
-    bb = spec.bounds
     sig_hi = 4.0 * max(spec.M0, 1.0) + 10.0
     sig = rng.uniform(-1.0, sig_hi, n)
     zz = rng.uniform(-0.5, 1.5, n)
@@ -442,7 +437,7 @@ def check_hypotheses(
     rows.append(
         _row_from_margins(
             "proliferation-bounds",
-            np.minimum.reduce([p, bb.p_star - p, g, bb.g_star - g]),
+            np.minimum.reduce([p, spec.p.hi - p, g, spec.g.hi - g]),
             (sig, zz),
         )
     )
@@ -454,10 +449,11 @@ def check_hypotheses(
         _row_from_margins(
             "lactate-kinetics-bounds",
             np.minimum.reduce(
-                [k1, bb.k1_star - k1, k2 - bb.k2_low, bb.k2_star - k2, S, bb.S_star - S]
+                [k1, spec.k1.hi - k1, k2 - spec.k2.lo, spec.k2.hi - k2, S, spec.S.hi - S]
             ),
             (ph, zz),
             note="k2 window is strictly positive",
+            floor=spec.k2.lo,
         )
     )
 
@@ -467,9 +463,10 @@ def check_hypotheses(
     rows.append(
         _row_from_margins(
             "elasticity-positivity",
-            np.minimum.reduce([mu - bb.b_mu_min, lam, np.full(n, const_part)]),
+            np.minimum.reduce([mu - spec.B_mu.lo, lam, np.full(n, const_part)]),
             (ph, zz),
             note="viscous tensor constant, elastic moduli sampled",
+            floor=spec.B_mu.lo,
         )
     )
 
@@ -518,7 +515,7 @@ def check_hypotheses(
     rows.append(
         _row_from_margins(
             "mechanical-coupling-bounded",
-            np.where(finite, bb.psi_max - np.abs(psi), -np.inf),
+            np.where(finite, spec.psi.bound - np.abs(psi), -np.inf),
             (ph, eps[0]),
             note=f"sampled Lipschitz constant {grad_norm.max():.3g}",
         )
@@ -584,7 +581,7 @@ def check_hypotheses(
     rows.append(
         _row_from_margins(
             "stress-weight-bounded",
-            np.minimum(gam, bb.gamma_bound - (np.abs(gam) + np.abs(dgam))),
+            np.minimum(gam, spec.gamma.bound - (np.abs(gam) + np.abs(dgam))),
             (phr,),
             note="nonnegative with bounded slope",
         )
@@ -626,7 +623,7 @@ def separation_bounds(spec: ModelSpec) -> SeparationBounds:
     then widens each root to cover the initial data.  The returned
     interval is re-verified by dense sampling before use.
     """
-    b = float(np.abs(spec.iota).max()) + spec.bounds.psi_max
+    b = float(np.abs(spec.iota).max()) + spec.psi.bound
 
     def G(r):
         return beta(r, spec) + pi(r, spec)

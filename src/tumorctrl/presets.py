@@ -12,7 +12,7 @@ count.  The three families serve different purposes:
   consumption so the whole system collapses to a pointwise ODE, giving an
   independent integrator something exact to compare with.
 """
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +93,6 @@ def ode_scenario(n_steps=50, nx=6) -> Scenario:
         z0=np.full(grid.shape, zc),
         u0=np.zeros((2,) + grid.shape),
         f=np.zeros((2,) + grid.shape),
-        bounds=replace(spec.bounds, k2_low=k2c),
     )
     control = Control.constant(grid, n_steps, chi1c, chi2c)
     return Scenario(

@@ -286,7 +286,6 @@ def step_z(z, phi_new, eps_new, ops, spec):
     g, tau = spec.grid, ops.tau
     rhs = z + tau * (spec.iota - spec.psi.value(phi_new, eps_new))
     v = z.copy()
-    history = []
     for it in range(50):
         res = (
             v
@@ -295,15 +294,13 @@ def step_z(z, phi_new, eps_new, ops, spec):
             - rhs
         )
         sup = float(np.abs(res).max())
-        history.append(sup)
         if sup <= 1e-10:
             return v, it
         slope = 1.0 + tau * (mdl.beta_prime(v, spec) + mdl.pi_prime(v, spec))
         if slope.min() <= 0.0:
             raise SolverError(
                 "z-step Jacobian lost positivity; time step too large for the "
-                f"concave slope (min diagonal {slope.min():.3e})",
-                history,
+                f"concave slope (min diagonal {slope.min():.3e})"
             )
         delta, _ = ops.damage(slope, -res, "z-newton")
         alpha = 1.0
@@ -313,16 +310,18 @@ def step_z(z, phi_new, eps_new, ops, spec):
                 break
             alpha *= 0.5
         else:
-            raise SolverError("z-step line search could not stay inside (0, 1)", history)
+            raise SolverError("z-step line search could not stay inside (0, 1)")
         v = v + alpha * delta
-    raise SolverError("z-step Newton did not converge in 50 iterations", history)
+    raise SolverError(
+        f"z-step Newton did not converge in 50 iterations (sup residual {sup:.3e})"
+    )
 
 
 def sigma_cap_for(spec, control) -> float:
     """Monitored lactate bound: data cap plus worst-case driven production."""
     # reduced before clamping: a broadcast dose view then makes no dense temporary
     drive = max(float(control.chi2.max()), 0.0) if control.chi2.size else 0.0
-    return max(spec.M0, float(spec.sigma0.max())) + spec.T * drive * spec.bounds.S_star
+    return max(spec.M0, float(spec.sigma0.max())) + spec.T * drive * spec.S.hi
 
 
 def march(control: Control, spec, diagnostics: Diagnostics):

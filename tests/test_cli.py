@@ -475,6 +475,53 @@ def test_hypothesis_check_reports_all_rows(tmp_path, capsys):
     assert "initial-data-range" in out
 
 
+@pytest.mark.parametrize("kinetic", ["k1_const = 0.8", "k2_const = 2.0", "s_const = 1.2"])
+def test_constant_kinetics_carry_their_own_range(tmp_path, capsys, kinetic):
+    cfg = write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n[model]\n{kinetic}\n")
+    rc = main(["hypothesis-check", "--config", cfg])
+    assert rc == 0
+    assert "0 failing" in capsys.readouterr().out
+
+
+def test_constant_supply_sets_the_lactate_cap(tmp_path):
+    text = "[grid]\nnx = 8\nny = 8\n[model]\ns_const = 1.2\n[controls]\nchi2 = const:0.5\n"
+    cfg = load_config(write_cfg(tmp_path, text))
+    spec = cfg.spec
+    expected = max(spec.M0, float(spec.sigma0.max())) + spec.T * 0.5 * 1.2
+    assert state.sigma_cap_for(spec, cfg.control0) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("model_keys, row", [
+    ("mu_min = -5", "elasticity-positivity"),
+    ("k2_variable = true\nk2_low = -0.9", "lactate-kinetics-bounds"),
+], ids=["mu_min", "k2_low"])
+def test_nonpositive_floor_fails_its_row(tmp_path, capsys, model_keys, row):
+    cfg = write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n[model]\n{model_keys}\n")
+    rc = main(["hypothesis-check", "--config", cfg])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert next(l for l in out.split("\n") if l.startswith(row)).split()[1] == "FAIL"
+    assert "1 failing" in out
+
+
+@pytest.mark.parametrize("command", sorted(cli._DISPATCH))
+def test_zero_carrying_capacity_is_config_error(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "[grid]\nnx = 6\nny = 6\n[model]\nn = 0\n")
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "config error: [model] n must be positive, got 0.0" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_negative_refine_is_rejected(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[grid]\nnx = 6\nny = 6\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["gradient-check", "--config", cfg, "--refine", "-2"])
+    assert exc.value.code == 2
+    assert "argument --refine: must be non-negative, got -2" in capsys.readouterr().err
+
+
 def test_oracle_on_reducible_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, ODE_SCENARIO)
     rc = main(["simulate", "--config", cfg, "--oracle", "--out", str(tmp_path / "out")])

@@ -55,7 +55,7 @@ def test_consumption_frozen_value(spec):
 
 def test_consumption_domain_error(spec):
     with pytest.raises(DomainError):
-        M.eval_K(0.5, -spec.bounds.k2_low, 0.1, spec)
+        M.eval_K(0.5, -spec.k2.lo, 0.1, spec)
 
 
 def test_consumption_bounded_for_admissible_sigma(spec):
@@ -63,7 +63,7 @@ def test_consumption_bounded_for_admissible_sigma(spec):
     sig = rng.uniform(0.0, 50.0, 1000)
     K = M.eval_K(0.3, sig, 0.2, spec)
     assert np.all(K >= 0.0)
-    assert np.all(K < spec.bounds.k1_star)
+    assert np.all(K < spec.k1.hi)
 
 
 def test_barrier_symmetry_and_frozen_log(spec):
@@ -138,7 +138,7 @@ def test_psi_zero_and_range(spec):
     rng = np.random.default_rng(4)
     ph = rng.uniform(-1, 2, 100)
     eps = rng.uniform(-1, 1, (3, 100))
-    assert np.all(np.abs(spec.psi.value(ph, eps)) <= spec.bounds.psi_max)
+    assert np.all(np.abs(spec.psi.value(ph, eps)) <= spec.psi.bound)
 
 
 # -- analytic derivatives vs central differences -----------------------------
@@ -231,12 +231,24 @@ def test_variable_k2_family_passes(spec_k2var):
 def test_forced_proliferation_violation(spec):
     from dataclasses import replace
 
-    bad = spec.with_fields(bounds=replace(spec.bounds, p_star=0.1))
+    bad = spec.with_fields(p=replace(spec.p, hi=0.1))
     rep = M.check_hypotheses(bad, sample_budget=4000)
     row = next(r for r in rep.rows if r.name == "proliferation-bounds")
     assert not row.ok
     assert row.margin < 0.0
     assert row.witness.startswith("(")
+
+
+@pytest.mark.parametrize("field, row", [
+    ("k2", "lactate-kinetics-bounds"),
+    ("B_mu", "elasticity-positivity"),
+])
+def test_zero_floor_fails_its_row(spec, field, row):
+    from dataclasses import replace
+
+    bad = spec.with_fields(**{field: replace(getattr(spec, field), lo=0.0)})
+    rep = M.check_hypotheses(bad, sample_budget=1000)
+    assert [r.name for r in rep.failures] == [row]
 
 
 def test_zero_initial_damage_fails(spec):
@@ -271,7 +283,7 @@ def closed_form_spec(spec, c1=1.0, c2=0.0, iota=1.9, psi_max=0.1, z0=0.5):
         C2=c2,
         iota=np.full_like(spec.iota, iota),
         z0=np.full_like(spec.z0, z0),
-        bounds=replace(spec.bounds, psi_max=psi_max),
+        psi=replace(spec.psi, bound=psi_max),
     )
 
 

@@ -2,6 +2,7 @@
 import math
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tumorctrl import linalg, linearized, state
 from tumorctrl import model as mdl
 from tumorctrl.presets import bounds_stress_scenario, ode_rhs, ode_scenario, smooth_scenario
 from tumorctrl.adjoint import CostWeights, Targets, solve_adjoint
+from tumorctrl.errors import SolverError
 from tumorctrl.linearized import solve_linearized
 from tumorctrl.state import (
     Control,
@@ -422,6 +424,13 @@ def test_z_output_strictly_inside_unit_interval(small_spec):
         out, _ = step_z(z, ph, eps, ops, small_spec)
         assert out.min() > 0.0
         assert out.max() < 1.0
+
+
+def test_z_nonconvergence_names_the_last_residual(small_spec):
+    g = small_spec.grid
+    stalled = SimpleNamespace(tau=0.02, damage=lambda slope, rhs, label: (0.0 * rhs, 0))
+    with pytest.raises(SolverError, match=r"50 iterations \(sup residual \d\.\d+e[-+]\d+\)"):
+        step_z(const(g, 0.45), const(g, 0.3), np.zeros((3,) + g.shape), stalled, small_spec)
 
 
 # -- full solve --------------------------------------------------------------
