@@ -37,7 +37,7 @@ from .model import (
     check_hypotheses,
     separation_bounds,
 )
-from .state import Control, Diagnostics, StateTrajectory, march, save_trajectory, solve_state
+from .state import Control, Diagnostics, StateTrajectory, march, solve_state
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "optimize",
     "project_admissible",
     "reduced_gradient",
-    "save_trajectory",
     "separation_bounds",
     "solve_adjoint",
     "solve_linearized",

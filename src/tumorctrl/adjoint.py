@@ -20,22 +20,9 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .grid import tensor_dot, trapezoid_weights
-from .linearized import block_steps, coefficient_levels, dose_coefficients
+from .linearized import block_steps, coefficient_levels, dose_coefficients, one_sided
 from .model import eval_B
 from .state import StateTrajectory, step_operators, u_operator
-
-
-_PART_NAMES = (
-    "phi-tracking",
-    "phi-final-tracking",
-    "phi-final-mass",
-    "sigma-tracking",
-    "sigma-final-tracking",
-    "strain-burden",
-    "z-tracking",
-    "z-final-mass",
-    "dose-effort",
-)
 
 
 @dataclass(frozen=True)
@@ -177,10 +164,12 @@ def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
     Terminal payoffs seed the dual fields at T; each backward step takes
     implicit diffusion (and the implicit damage slope) at the earlier
     level while every cross coupling and tracking source is evaluated at
-    the later one.  Yields (q, r, v, s) at time levels K down to 0 and
-    keeps only the current level.  Each level comes in new arrays that
-    the next step reads, so a consumer may keep them but writes only to
-    copies.
+    the later one.  Where forward step m - 1 clamped, step m first passes
+    q and r of level m through one_sided, the transpose of the tangent's
+    one-sided clamp derivative.  Yields (q, r, v, s) at time levels K down
+    to 0 and keeps only the current level.  Each level comes in new arrays
+    that the next step reads, so a consumer may keep them but writes only
+    to copies.
     """
     weights.validate()
     g = traj.grid
@@ -202,6 +191,7 @@ def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
 
     for m, co, ee in coefficient_levels(traj, spec, range(K, 0, -1), shift=0):
         ph, sg, zz = traj.phi[m], traj.sigma[m], traj.z[m]
+        q, r = one_sided(traj, spec, m, q, r)
 
         f_q = (
             co.a1 * q

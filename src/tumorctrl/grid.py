@@ -43,32 +43,16 @@ def tensor_dot(a, b):
 
 def _d1_matrix(n, h):
     # centered rows inside, first-order closure rows at the ends
-    rows = [0, 0]
-    cols = [0, 1]
-    vals = [-1.0 / h, 1.0 / h]
-    for i in range(1, n):
-        rows += [i, i]
-        cols += [i - 1, i + 1]
-        vals += [-0.5 / h, 0.5 / h]
-    rows += [n, n]
-    cols += [n - 1, n]
-    vals += [-1.0 / h, 1.0 / h]
-    return sps.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
+    d1 = (np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)) * (0.5 / h)
+    d1[0, :2] = d1[n, n - 1:] = (-1.0 / h, 1.0 / h)
+    return sps.csr_matrix(d1)
 
 
 def _lap1_neumann(n, h):
     # ghost reflection doubles the inward off-diagonal on boundary rows
-    rows = [0, 0]
-    cols = [0, 1]
-    vals = [-2.0 / h**2, 2.0 / h**2]
-    for i in range(1, n):
-        rows += [i, i, i]
-        cols += [i - 1, i, i + 1]
-        vals += [1.0 / h**2, -2.0 / h**2, 1.0 / h**2]
-    rows += [n, n]
-    cols += [n - 1, n]
-    vals += [2.0 / h**2, -2.0 / h**2]
-    return sps.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
+    lap = (np.eye(n + 1, k=1) + np.eye(n + 1, k=-1) - 2.0 * np.eye(n + 1)) / h**2
+    lap[0, 1] = lap[n, n - 1] = 2.0 / h**2
+    return sps.csr_matrix(lap)
 
 
 class Axis(NamedTuple):

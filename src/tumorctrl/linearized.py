@@ -3,11 +3,13 @@
 solve_linearized marches the derivative of the discrete scheme: every
 substep differentiates the corresponding state substep at the stored
 trajectory, keeping the same implicit operators and the same staggering
-of old and new fields.  It ignores the clamps of step_phi and step_sigma,
-so it is the exact Frechet derivative only where no node lies on a clamp
-bound (ROADMAP item 1).  There, comparing one linearized solve against
-finite differences of two nonlinear solves is a two-sided consistency
-check on both solvers; taylor_test packages that comparison.
+of old and new fields.  Where the trajectory's diagnostics record that
+step_phi or step_sigma clamped, the tangent takes the clamp's one-sided
+derivative (one_sided): zero at the nodes the step left on a bound, one
+inside.  So it is the derivative of the discrete scheme, one-sided at a
+recorded clamp.  Comparing one linearized solve against finite
+differences of two nonlinear solves is a consistency check on both
+solvers; taylor_test packages that comparison.
 
 assemble_coefficients is the single source of the derivative's thirteen
 per-node coefficients, one for each way a perturbation of (tumor,
@@ -172,6 +174,23 @@ def coefficient_levels(traj: StateTrajectory, spec, levels, shift):
             yield n, block.level(n - n0), eps[:, n - n0]
 
 
+def one_sided(traj: StateTrajectory, spec, n, dphi, dsigma):
+    """Carry tumor and lactate derivatives of level n through the clamps of step n - 1.
+
+    Where traj.diagnostics records that the step clamped a field, its
+    derivative is zeroed at the nodes the step left on a bound of the clamp
+    window: np.clip writes the bounds exactly, so those are the nodes it may
+    have held.  A trajectory without diagnostics counts as never clamped.
+    Returns new arrays where a mask applies, the inputs otherwise.
+    """
+    d = traj.diagnostics
+    if d is not None and d.phi_clamp[n - 1] > 0.0:
+        dphi = dphi * ((0.0 < traj.phi[n]) & (traj.phi[n] < spec.N))
+    if d is not None and d.sigma_clamp[n - 1] > 0.0:
+        dsigma = dsigma * ((0.0 < traj.sigma[n]) & (traj.sigma[n] < d.sigma_cap))
+    return dphi, dsigma
+
+
 @dataclass
 class LinearizedTrajectory:
     """Tangent fields along a stored state trajectory.
@@ -203,7 +222,8 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
     their coefficients from the old time level, the displacement tangent
     sees the moduli at (new tumor, old damage) contracted with the new
     strain (the moduli its coefficient block carries), and the damage
-    tangent is implicit in its own slope.
+    tangent is implicit in its own slope.  The tumor and lactate tangents
+    pass one_sided after their diffusion solves.
     """
     g = spec.grid
     direction.validate(g)
@@ -222,10 +242,10 @@ def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> Lineari
     gtw = g.sym_grad_weighted_transpose
     for n, co, _ in coefficient_levels(traj, spec, range(K), shift=1):
         rhs = xi[n] + tau * (co.a1 * xi[n] + co.a2 * rho[n] + co.a3 * zeta[n] + co.a4 * direction.chi1[n])
-        xi[n + 1] = ops.neumann(rhs)
+        xi_new = ops.neumann(rhs)
 
         rhs = rho[n] + tau * (co.b1 * xi[n] + co.b2 * rho[n] + co.b3 * zeta[n] + co.b4 * direction.chi2[n])
-        rho[n + 1] = ops.robin(rhs)
+        xi[n + 1], rho[n + 1] = one_sided(traj, spec, n + 1, xi_new, ops.robin(rhs))
 
         load = gtw @ (co.c1 * xi[n + 1] + co.c2 * zeta[n]).reshape(3, -1).ravel()
         M_int = u_operator(spec, co.mu_b, co.lam_b, tau)

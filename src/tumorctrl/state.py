@@ -14,11 +14,15 @@ lactate cap is a monitored heuristic, not a proven constant: it combines
 the data cap with the worst-case production the control can drive.
 
 march is the time loop as a generator: it yields one time level at a time
-and keeps only the current one, so a consumer that reduces or writes each
-level as it arrives (the simulate and separation commands) never holds the
-trajectory.  solve_state collects the same levels into a StateTrajectory
-for the sweeps that read every level back (tangent, adjoint, cost), all
-but the strain, which they rebuild from the displacement as they read it.
+and keeps only the current one, so a consumer that writes or skips each
+level as it arrives (the simulate and separation commands) never holds
+the trajectory.  The march's
+Diagnostics record is the one account of a forward run: the per-step clamp
+excess and iteration counts, and the range of each field over all levels,
+from which the damage containment verdict is read.  solve_state collects
+the same levels into a StateTrajectory for the sweeps that read every
+level back (tangent, adjoint, cost), all but the strain, which they
+rebuild from the displacement as they read it.  The solver does no I/O.
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +34,6 @@ import scipy.sparse as sps
 from . import model as mdl
 from .errors import SeparationError, SolverError
 from .linalg import cg_solve, elastic_solver, separable_solver
-from .snapshots import write_manifest, write_snapshots
 
 
 @dataclass(frozen=True)
@@ -71,16 +74,21 @@ class Control:
 
 @dataclass
 class Diagnostics:
-    """Per-step solver health indicators filled in by march."""
+    """Record of one forward run, filled in by march.
+
+    Per step: the pre-clamp excess of tumor and lactate, the damage Newton
+    steps and the displacement CG iterations.  lo and hi are the minima and
+    maxima of (phi, sigma, z) over every level marched so far.
+    """
 
     phi_clamp: np.ndarray
     sigma_clamp: np.ndarray
     newton_iters: np.ndarray
     cg_u: np.ndarray
     sigma_cap: float
-    sigma_cap_heuristic: bool
     z_window: Optional[tuple]
-    z_excess: float
+    lo: np.ndarray
+    hi: np.ndarray
 
     @classmethod
     def empty(cls, control, spec):
@@ -100,19 +108,32 @@ class Diagnostics:
             newton_iters=np.zeros(K, dtype=int),
             cg_u=np.zeros(K, dtype=int),
             sigma_cap=sigma_cap_for(spec, control),
-            sigma_cap_heuristic=True,
             z_window=window,
-            z_excess=0.0,
+            lo=np.full(3, np.inf),
+            hi=np.full(3, -np.inf),
         )
+
+    def widen(self, phi, sigma, z):
+        """Widen the field ranges by one level."""
+        np.minimum(self.lo, (phi.min(), sigma.min(), z.min()), out=self.lo)
+        np.maximum(self.hi, (phi.max(), sigma.max(), z.max()), out=self.hi)
+
+    @property
+    def z_excess(self):
+        """How far the damage range leaves the certified window; 0.0 without one."""
+        if self.z_window is None:
+            return 0.0
+        return max(0.0, self.z_window[0] - float(self.lo[2]), float(self.hi[2]) - self.z_window[1])
 
     def summary(self):
         return {
-            "phi_clamp_max": f"{self.phi_clamp.max() if self.phi_clamp.size else 0.0:.6e}",
-            "sigma_clamp_max": f"{self.sigma_clamp.max() if self.sigma_clamp.size else 0.0:.6e}",
-            "newton_iters_max": str(int(self.newton_iters.max()) if self.newton_iters.size else 0),
-            "cg_iters_max": str(int(self.cg_u.max()) if self.cg_u.size else 0),
+            "phi_clamp_max": f"{self.phi_clamp.max():.6e}",
+            "sigma_clamp_max": f"{self.sigma_clamp.max():.6e}",
+            "newton_iters_max": str(self.newton_iters.max()),
+            "cg_iters_max": str(self.cg_u.max()),
             "sigma_cap": f"{self.sigma_cap:.6e}",
-            "sigma_cap_heuristic": str(self.sigma_cap_heuristic).lower(),
+            # sigma_cap_for is a monitored bound, not a proven one
+            "sigma_cap_heuristic": "true",
             "z_excess": f"{self.z_excess:.3e}",
         }
 
@@ -331,8 +352,7 @@ def march(control: Control, spec, diagnostics: Diagnostics):
     current level.  Each level comes in new arrays that the next step reads,
     so a consumer may keep them but writes only to copies.  diagnostics is
     Diagnostics.empty(control, spec); step n fills entry n of its per-step
-    arrays, and z_excess is set from the damage range over levels 1..K once
-    the march is exhausted.
+    arrays, and each level widens its field ranges.
     """
     g = spec.grid
     K = control.n_steps
@@ -342,19 +362,17 @@ def march(control: Control, spec, diagnostics: Diagnostics):
     phi, sigma, z = (np.full(g.shape, f, dtype=float) for f in (spec.phi0, spec.sigma0, spec.z0))
     u = np.full((2,) + g.shape, spec.u0, dtype=float)
     eps_u = g.sym_grad(u)
+    d.widen(phi, sigma, z)
     yield phi, sigma, u, eps_u, z
 
-    zmin, zmax = np.inf, -np.inf
     for n in range(K):
         phi_new, d.phi_clamp[n] = step_phi(phi, sigma, z, control.chi1[n], ops, spec)
         sigma, d.sigma_clamp[n] = step_sigma(sigma, phi, z, control.chi2[n], d.sigma_cap, ops, spec)
         phi = phi_new
         u, eps_u, d.cg_u[n] = step_u(u, phi, z, ops, spec)
         z, d.newton_iters[n] = step_z(z, phi, eps_u, ops, spec)
-        zmin, zmax = min(zmin, float(z.min())), max(zmax, float(z.max()))
+        d.widen(phi, sigma, z)
         yield phi, sigma, u, eps_u, z
-    if d.z_window is not None:
-        d.z_excess = max(0.0, d.z_window[0] - zmin, zmax - d.z_window[1])
 
 
 def solve_state(control: Control, spec) -> StateTrajectory:
@@ -380,36 +398,3 @@ def solve_state(control: Control, spec) -> StateTrajectory:
         control=control,
     )
 
-
-def snapshot_fields(phi, sigma, u, z):
-    """The (name, values) pairs a forward run writes at one time level."""
-    return (("phi", phi), ("sigma", sigma), ("z", z), ("ux", u[0]), ("uy", u[1]))
-
-
-def run_manifest(grid, times, fmt, diagnostics=None):
-    """The run.manifest entries of a forward run on grid at the given time levels."""
-    info = {
-        "n_steps": str(len(times) - 1),
-        "tau": f"{float(times[1] - times[0]):.17g}",
-        "nx": str(grid.nx),
-        "ny": str(grid.ny),
-        "hx": f"{grid.hx:.17g}",
-        "hy": f"{grid.hy:.17g}",
-        "format": fmt,
-    }
-    if diagnostics is not None:
-        info.update(diagnostics.summary())
-    return info
-
-
-def save_trajectory(traj: StateTrajectory, outdir, fmt="csv", every=1):
-    """Write per-node field snapshots plus a run manifest."""
-    from pathlib import Path
-
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    for n in range(0, traj.n_steps + 1, every):
-        named = snapshot_fields(traj.phi[n], traj.sigma[n], traj.u[n], traj.z[n])
-        write_snapshots(out, traj.grid, n, float(traj.times[n]), named, fmt)
-    write_manifest(out / "run.manifest", run_manifest(traj.grid, traj.times, fmt, traj.diagnostics))
-    return out

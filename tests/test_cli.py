@@ -1,6 +1,7 @@
 """End-to-end command line tests: exit codes, diagnostics, determinism."""
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tumorctrl.cli import main
 from tumorctrl.config import load_config
 from tumorctrl.errors import ConfigError, DomainError, SeparationError, SolverError
 from tumorctrl.grid import Grid
-from tumorctrl.snapshots import read_snapshot_csv, write_snapshot_csv
+from tumorctrl.snapshots import read_manifest, read_snapshot, read_snapshot_csv, write_snapshot_csv
 
 ZERO_SCENARIO = """
 [grid]
@@ -328,18 +329,44 @@ def test_separation_bounds_computed_once_per_run(tmp_path, capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
-def test_streamed_simulate_writes_the_saved_trajectory(tmp_path, capsys, fmt):
+def test_simulate_writes_the_solved_levels(tmp_path, capsys, fmt):
     path = write_cfg(tmp_path, OPTIMIZE_SMALL + f"[output]\nstride = 3\nformat = {fmt}\n")
-    streamed, saved = tmp_path / "streamed", tmp_path / "saved"
-    assert main(["simulate", "--config", path, "--out", str(streamed)]) == 0
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
     cfg = load_config(path)
-    state.save_trajectory(state.solve_state(cfg.control0, cfg.spec), saved, fmt=fmt, every=3)
-    names = sorted(p.name for p in saved.iterdir())
+    traj = state.solve_state(cfg.control0, cfg.spec)
     # five fields at levels 0, 3 and 6 of 8, and the manifest
-    assert len(names) == 16 and "run.manifest" in names
-    assert sorted(p.name for p in streamed.iterdir()) == names
-    for name in names:
-        assert (streamed / name).read_bytes() == (saved / name).read_bytes(), name
+    assert len(list(out.iterdir())) == 16
+    ext = "csv" if fmt == "csv" else "tcf"
+    for n in (0, 3, 6):
+        fields = (("phi", traj.phi[n]), ("sigma", traj.sigma[n]), ("z", traj.z[n]),
+                  ("ux", traj.u[n, 0]), ("uy", traj.u[n, 1]))
+        for name, want in fields:
+            grid, values, t = read_snapshot(out / f"{name}_{n:05d}.{ext}")
+            assert grid == cfg.spec.grid and t == traj.times[n], (name, n)
+            assert values.tobytes() == want.tobytes(), (name, n)
+    info = read_manifest(out / "run.manifest")
+    assert info["n_steps"] == "8" and info["sigma_cap_heuristic"] == "true"
+    assert info["z_excess"] == "0.000e+00"
+
+
+def test_damage_outside_its_window_is_violated(tmp_path, capsys, monkeypatch):
+    separation_bounds = model.separation_bounds
+
+    def narrowed(spec):
+        sb = separation_bounds(spec)
+        return replace(sb, r_high=sb.r_low + 0.01)
+
+    monkeypatch.setattr(model, "separation_bounds", narrowed)
+    path = write_cfg(tmp_path, OPTIMIZE_SMALL)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "-> VIOLATED" in printed and "simulate: FAIL" in printed
+    assert float(read_manifest(out / "run.manifest")["z_excess"]) > 0.0
+    assert main(["separation", "--config", path]) == 1
+    printed = capsys.readouterr().out
+    assert "-> VIOLATED" in printed and "separation: FAIL" in printed
 
 
 @pytest.mark.parametrize("command", ["simulate", "separation"])

@@ -1,8 +1,9 @@
 """Source hygiene: package modules reach each other only by public names,
 every factorization (sparse LU, eigen- or singular value decomposition)
 stays in linalg, only snapshots picks a snapshot file's reader or writer,
-only linearized assembles the linearization coefficients, and the command
-line loads neither scipy.sparse.linalg nor scipy.linalg nor scipy.special."""
+only the command line writes a run directory, only linearized assembles
+the linearization coefficients, and the command line loads neither
+scipy.sparse.linalg nor scipy.linalg nor scipy.special."""
 import ast
 import os
 import subprocess
@@ -27,43 +28,39 @@ def test_no_private_cross_module_imports():
     assert not offenders, "private names imported across modules:\n" + "\n".join(offenders)
 
 
-def test_only_linalg_factorizes():
-    offenders = []
+def names_outside(owners, names):
+    """Where a package module other than owners uses one of names, as 'file:line: name'."""
+    found = []
     for path in sorted(Path(tumorctrl.__file__).parent.glob("*.py")):
-        if path.name == "linalg.py":
+        if path.name in owners:
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
-            names += [node.id] if isinstance(node, ast.Name) else []
-            names += [node.attr] if isinstance(node, ast.Attribute) else []
-            offenders += [f"{path.name}:{node.lineno}: {n}" for n in names if n in ("splu", "eigh", "svd")]
+            used = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            used += [node.id] if isinstance(node, ast.Name) else []
+            used += [node.attr] if isinstance(node, ast.Attribute) else []
+            found += [f"{path.name}:{node.lineno}: {n}" for n in used if n in names]
+    return found
+
+
+def test_only_linalg_factorizes():
+    offenders = names_outside(("linalg.py",), ("splu", "eigh", "svd"))
     assert not offenders, "factorization outside linalg:\n" + "\n".join(offenders)
 
 
 def test_only_snapshots_picks_the_snapshot_format():
     formats = ("write_snapshot_csv", "write_snapshot_bin", "read_snapshot_csv", "read_snapshot_bin")
-    offenders = []
-    for path in sorted(Path(tumorctrl.__file__).parent.glob("*.py")):
-        if path.name == "snapshots.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
-            names += [node.id] if isinstance(node, ast.Name) else []
-            names += [node.attr] if isinstance(node, ast.Attribute) else []
-            offenders += [f"{path.name}:{node.lineno}: {n}" for n in names if n in formats]
+    offenders = names_outside(("snapshots.py",), formats)
     assert not offenders, "snapshot format chosen outside snapshots:\n" + "\n".join(offenders)
 
 
+def test_only_the_command_line_writes_a_run_directory():
+    # the solver does no I/O: snapshots and manifests are written by cli alone
+    offenders = names_outside(("cli.py", "snapshots.py"), ("write_snapshots", "write_manifest"))
+    assert not offenders, "run directory written outside cli:\n" + "\n".join(offenders)
+
+
 def test_only_linearized_assembles_coefficients():
-    offenders = []
-    for path in sorted(Path(tumorctrl.__file__).parent.glob("*.py")):
-        if path.name == "linearized.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
-            names += [node.id] if isinstance(node, ast.Name) else []
-            names += [node.attr] if isinstance(node, ast.Attribute) else []
-            offenders += [f"{path.name}:{node.lineno}: {n}" for n in names if n == "assemble_coefficients"]
+    offenders = names_outside(("linearized.py",), ("assemble_coefficients",))
     assert not offenders, "coefficients assembled outside linearized:\n" + "\n".join(offenders)
 
 

@@ -13,11 +13,12 @@ from tumorctrl.grid import Grid, stress_from_strain, tensor_dot
 from tumorctrl.linearized import (
     assemble_coefficients,
     block_steps,
+    one_sided,
     solve_linearized,
     taylor_test,
     trajectory_distance,
 )
-from tumorctrl.presets import smooth_scenario
+from tumorctrl.presets import bounds_stress_scenario, smooth_scenario
 from tumorctrl.state import Control, solve_state, step_operators, u_operator
 
 
@@ -356,3 +357,48 @@ def test_taylor_test_rejects_zero_direction(spec):
     control = Control.zeros(spec.grid, 4)
     with pytest.raises(ValueError, match="nonzero"):
         taylor_test(control, Control.zeros(spec.grid, 4), spec)
+
+
+def uniform_direction(sc, seed=3):
+    rng = np.random.default_rng(seed)
+    shape = sc.control.chi1.shape
+    return Control(rng.uniform(0.0, 1.0, shape), rng.uniform(0.0, 1.0, shape))
+
+
+@pytest.mark.parametrize("chi1_level", [800.0, 100.0])
+def test_taylor_slope_through_recorded_clamps(chi1_level):
+    # the first tumor step clamps every node onto phi = 0; a tangent that
+    # ignored the clamp would leave a first-order remainder (slope 1.000)
+    sc = bounds_stress_scenario(n_steps=10, chi1_level=chi1_level)
+    out = taylor_test(sc.control, uniform_direction(sc), sc.spec)
+    assert out["base"].diagnostics.phi_clamp[0] > 0.0
+    assert out["slope"] >= 1.9
+
+
+def test_only_recorded_clamps_mask_the_sweeps(small_run):
+    # a trajectory without diagnostics counts as never clamped
+    stress = bounds_stress_scenario(n_steps=10, chi1_level=100.0)
+    runs = (small_run, (stress, solve_state(stress.control, stress.spec)))
+    w = CostWeights(1, 1, 0, 1, 1, 0.3, 1, 0, 0.1)
+    for clamped, (sc, traj) in zip((False, True), runs):
+        assert (traj.diagnostics.phi_clamp.max() > 0.0) == clamped
+        bare = replace(traj, diagnostics=None)
+        h, tg = uniform_direction(sc), Targets.resting(sc.spec)
+        xi = [solve_linearized(t, h, sc.spec).xi for t in (traj, bare)]
+        q = [solve_adjoint(t, w, tg, sc.spec).q for t in (traj, bare)]
+        assert np.array_equal(*xi) != clamped
+        assert np.array_equal(*q) != clamped
+
+
+def test_one_sided_masks_only_after_a_recorded_clamp(small_run):
+    sc, traj = small_run
+    d = replace(traj.diagnostics, sigma_clamp=np.zeros_like(traj.diagnostics.sigma_clamp))
+    sigma = traj.sigma.copy()
+    sigma[3, 1, 1], sigma[3, 2, 2] = 0.0, d.sigma_cap
+    run = replace(traj, sigma=sigma, diagnostics=d)
+    ones = np.ones(sc.spec.grid.shape)
+    assert one_sided(run, sc.spec, 3, ones, ones)[1] is ones  # step 2 clamped nothing
+    d.sigma_clamp[2] = 1e-3
+    dphi, dsigma = one_sided(run, sc.spec, 3, ones, ones)
+    assert dphi is ones
+    assert np.flatnonzero(dsigma == 0.0).tolist() == [10, 20]  # nodes (1, 1) and (2, 2) of 9x9

@@ -19,7 +19,6 @@ from tumorctrl.state import (
     Control,
     Diagnostics,
     march,
-    save_trajectory,
     sigma_cap_for,
     solve_state,
     step_phi,
@@ -578,8 +577,13 @@ def test_march_yields_the_levels_solve_state_keeps():
     for name in ("phi_clamp", "sigma_clamp", "newton_iters", "cg_u"):
         assert np.array_equal(getattr(d, name), getattr(ref, name)), name
     assert d.phi_clamp.max() > 0.0
-    assert (d.sigma_cap, d.sigma_cap_heuristic, d.z_window) == (
-        ref.sigma_cap, ref.sigma_cap_heuristic, ref.z_window)
+    assert (d.sigma_cap, d.z_window) == (ref.sigma_cap, ref.z_window)
+    # the ranges span levels 0..K, the initial data included
+    fields = (traj.phi, traj.sigma, traj.z)
+    for got in (d, ref):
+        assert np.array_equal(got.lo, [f.min() for f in fields])
+        assert np.array_equal(got.hi, [f.max() for f in fields])
+    # the window holds the initial damage, so level 0 leaves the excess as it was
     lo, hi = d.z_window
     assert d.z_excess == ref.z_excess == max(
         0.0, lo - traj.z[1:].min(), traj.z[1:].max() - hi)
@@ -590,20 +594,6 @@ def test_sigma_cap_uses_actual_drive(small_spec):
     weak = Control.constant(g, 4, 0.0, 0.1)
     strong = Control.constant(g, 4, 0.0, 5.0)
     assert sigma_cap_for(small_spec, strong) > sigma_cap_for(small_spec, weak)
-
-
-def test_save_trajectory_round_trip(tmp_path):
-    from tumorctrl.snapshots import read_manifest, read_snapshot_csv
-
-    sc = smooth_scenario(nx=8, n_steps=4)
-    traj = solve_state(sc.control, sc.spec)
-    out = save_trajectory(traj, tmp_path / "run", fmt="csv")
-    info = read_manifest(out / "run.manifest")
-    assert info["n_steps"] == "4"
-    assert info["sigma_cap_heuristic"] == "true"
-    _, f, t = read_snapshot_csv(out / "phi_00004.csv")
-    assert t == pytest.approx(traj.times[-1])
-    assert np.array_equal(f, traj.phi[4])
 
 
 def test_control_validation():
