@@ -329,7 +329,7 @@ def test_separation_bounds_computed_once_per_run(tmp_path, capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
-def test_simulate_writes_the_solved_levels(tmp_path, capsys, fmt):
+def test_streamed_simulate_writes_the_saved_trajectory(tmp_path, capsys, fmt):
     path = write_cfg(tmp_path, OPTIMIZE_SMALL + f"[output]\nstride = 3\nformat = {fmt}\n")
     out = tmp_path / "out"
     assert main(["simulate", "--config", path, "--out", str(out)]) == 0

@@ -596,6 +596,26 @@ def test_sigma_cap_uses_actual_drive(small_spec):
     assert sigma_cap_for(small_spec, strong) > sigma_cap_for(small_spec, weak)
 
 
+def test_save_trajectory_round_trip(tmp_path):
+    # a solved trajectory written as a run directory reads back unchanged
+    from tumorctrl.cli import run_manifest, snapshot_fields
+    from tumorctrl.snapshots import read_manifest, read_snapshot_csv, write_manifest, write_snapshots
+
+    sc = smooth_scenario(nx=8, n_steps=4)
+    traj = solve_state(sc.control, sc.spec)
+    grid = sc.spec.grid
+    for n, t in enumerate(traj.times):
+        named = snapshot_fields(traj.phi[n], traj.sigma[n], traj.u[n], traj.z[n])
+        write_snapshots(tmp_path, grid, n, float(t), named, "csv")
+    write_manifest(tmp_path / "run.manifest", run_manifest(grid, traj.times, "csv", traj.diagnostics))
+    info = read_manifest(tmp_path / "run.manifest")
+    assert info["n_steps"] == "4"
+    assert info["sigma_cap_heuristic"] == "true"
+    _, f, t = read_snapshot_csv(tmp_path / "phi_00004.csv")
+    assert t == pytest.approx(traj.times[-1])
+    assert np.array_equal(f, traj.phi[4])
+
+
 def test_control_validation():
     g = Grid.unit(6, 6)
     c = Control.zeros(g, 3)
