@@ -148,14 +148,8 @@ class AdjointTrajectory:
     dual displacement and damage fields are yielded by march_adjoint only.
     """
 
-    grid: object
-    times: np.ndarray
     q: np.ndarray
     r: np.ndarray
-
-    @property
-    def n_steps(self):
-        return len(self.times) - 1
 
 
 def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets, spec):
@@ -223,7 +217,7 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
     r = np.empty_like(q)
     for m, (q_m, r_m, _, _) in zip(range(K, -1, -1), march_adjoint(traj, weights, targets, spec)):
         q[m], r[m] = q_m, r_m
-    return AdjointTrajectory(grid=traj.grid, times=traj.times.copy(), q=q, r=r)
+    return AdjointTrajectory(q=q, r=r)
 
 
 def duality_residual(traj, lin, adj, direction, weights: CostWeights, targets: Targets, spec):

@@ -1,15 +1,15 @@
 """Tangent dynamics of the forward solver.
 
-solve_linearized marches the derivative of the discrete scheme: every
-substep differentiates the corresponding state substep at the stored
-trajectory, keeping the same implicit operators and the same staggering
-of old and new fields.  Where the trajectory's diagnostics record that
-step_phi or step_sigma clamped, the tangent takes the clamp's one-sided
-derivative (one_sided): zero at the nodes the step left on a bound, one
-inside.  So it is the derivative of the discrete scheme, one-sided at a
-recorded clamp.  Comparing one linearized solve against finite
-differences of two nonlinear solves is a consistency check on both
-solvers; taylor_test packages that comparison.
+TangentStep.apply is the derivative of one forward step: each substep
+differentiates the corresponding state substep at the stored trajectory,
+keeping the same implicit operators and the same staggering of old and
+new fields, and solve_linearized marches it.  Where the trajectory's
+diagnostics record that step_phi or step_sigma clamped, the tangent takes
+the clamp's one-sided derivative (one_sided): zero at the nodes the step
+left on a bound, one inside.  So it is the derivative of the discrete
+scheme, one-sided at a recorded clamp.  Comparing one linearized solve
+against finite differences of two nonlinear solves is a consistency check
+on both solvers; taylor_test packages that comparison.
 
 assemble_coefficients is the single source of the derivative's thirteen
 per-node coefficients, one for each way a perturbation of (tumor,
@@ -27,7 +27,7 @@ import numpy as np
 from . import model as mdl
 from .errors import DomainError
 from .grid import stress_from_strain, tensor_dot
-from .state import Control, StateTrajectory, solve_state, step_operators, u_operator
+from .state import Control, StateTrajectory, StepOperators, solve_state, step_operators, u_operator
 
 BLOCK_BYTES = 32 * 1024
 _TENSORS = ("c1", "c2", "d2")
@@ -191,6 +191,41 @@ def one_sided(traj: StateTrajectory, spec, n, dphi, dsigma):
     return dphi, dsigma
 
 
+@dataclass(frozen=True)
+class TangentStep:
+    """Step n -> n+1 of the tangent march: co is level n of coefficient_levels(..., shift=1).
+
+    Substeps mirror the state solver: the tumor and lactate tangents take
+    their coefficients from the old time level, the displacement tangent
+    sees the moduli at (new tumor, old damage) contracted with the new
+    strain (the moduli co carries), and the damage tangent is implicit in
+    its own slope.  The tumor and lactate tangents pass one_sided after
+    their diffusion solves.
+    """
+
+    traj: StateTrajectory
+    spec: object
+    n: int
+    co: LinearizedCoefficients
+    ops: StepOperators
+
+    def apply(self, xi, rho, omega, zeta, chi1, chi2):
+        """Level n+1 of (xi, rho, omega, zeta) from level n and the direction's doses at n."""
+        co, ops, tau = self.co, self.ops, self.ops.tau
+        xi_new = ops.neumann(xi + tau * (co.a1 * xi + co.a2 * rho + co.a3 * zeta + co.a4 * chi1))
+        rho_new = ops.robin(rho + tau * (co.b1 * xi + co.b2 * rho + co.b3 * zeta + co.b4 * chi2))
+        xi_new, rho_new = one_sided(self.traj, self.spec, self.n + 1, xi_new, rho_new)
+
+        gtw = self.spec.grid.sym_grad_weighted_transpose
+        load = gtw @ (co.c1 * xi_new + co.c2 * zeta).reshape(3, -1).ravel()
+        M_int = u_operator(self.spec, co.mu_b, co.lam_b, tau)
+        omega_new, eps_omega, _ = ops.displace(omega, load, M_int, "omega-step")
+
+        rhs = zeta + tau * (co.d1 * xi_new + tensor_dot(co.d2, eps_omega))
+        zeta_new, _ = ops.damage(1.0 - tau * co.d3, rhs, "zeta-step", x0=zeta)
+        return xi_new, rho_new, omega_new, zeta_new
+
+
 @dataclass
 class LinearizedTrajectory:
     """Tangent fields along a stored state trajectory.
@@ -200,15 +235,10 @@ class LinearizedTrajectory:
     """
 
     grid: object
-    times: np.ndarray
     xi: np.ndarray
     rho: np.ndarray
     omega: np.ndarray
     zeta: np.ndarray
-
-    @property
-    def n_steps(self):
-        return len(self.times) - 1
 
     def strain(self, n0=0, n1=None):
         """sym_grad(omega) at levels n0..n1-1, component-first: (3, n1-n0, ny+1, nx+1)."""
@@ -216,45 +246,21 @@ class LinearizedTrajectory:
 
 
 def solve_linearized(traj: StateTrajectory, direction: Control, spec) -> LinearizedTrajectory:
-    """Differentiate the forward march along a dose perturbation.
-
-    Substeps mirror the state solver: the tumor and lactate tangents take
-    their coefficients from the old time level, the displacement tangent
-    sees the moduli at (new tumor, old damage) contracted with the new
-    strain (the moduli its coefficient block carries), and the damage
-    tangent is implicit in its own slope.  The tumor and lactate tangents
-    pass one_sided after their diffusion solves.
-    """
+    """Differentiate the forward march along a dose perturbation, one TangentStep per step."""
     g = spec.grid
     direction.validate(g)
     K = traj.n_steps
     if direction.n_steps != K:
         raise ValueError("direction defined on a different number of steps")
-    tau = traj.tau
-    shape = g.shape
 
-    xi = np.zeros((K + 1,) + shape)
-    rho = np.zeros_like(xi)
-    zeta = np.zeros_like(xi)
-    omega = np.zeros((K + 1, 2) + shape)
-
-    ops = step_operators(spec, tau)
-    gtw = g.sym_grad_weighted_transpose
+    xi, rho, zeta = (np.zeros((K + 1,) + g.shape) for _ in range(3))
+    omega = np.zeros((K + 1, 2) + g.shape)
+    ops = step_operators(spec, traj.tau)
     for n, co, _ in coefficient_levels(traj, spec, range(K), shift=1):
-        rhs = xi[n] + tau * (co.a1 * xi[n] + co.a2 * rho[n] + co.a3 * zeta[n] + co.a4 * direction.chi1[n])
-        xi_new = ops.neumann(rhs)
-
-        rhs = rho[n] + tau * (co.b1 * xi[n] + co.b2 * rho[n] + co.b3 * zeta[n] + co.b4 * direction.chi2[n])
-        xi[n + 1], rho[n + 1] = one_sided(traj, spec, n + 1, xi_new, ops.robin(rhs))
-
-        load = gtw @ (co.c1 * xi[n + 1] + co.c2 * zeta[n]).reshape(3, -1).ravel()
-        M_int = u_operator(spec, co.mu_b, co.lam_b, tau)
-        omega[n + 1], eps_omega, _ = ops.displace(omega[n], load, M_int, "omega-step")
-
-        rhs = zeta[n] + tau * (co.d1 * xi[n + 1] + tensor_dot(co.d2, eps_omega))
-        zeta[n + 1], _ = ops.damage(1.0 - tau * co.d3, rhs, "zeta-step", x0=zeta[n])
-
-    return LinearizedTrajectory(grid=g, times=traj.times.copy(), xi=xi, rho=rho, omega=omega, zeta=zeta)
+        step = TangentStep(traj, spec, n, co, ops)
+        level = step.apply(xi[n], rho[n], omega[n], zeta[n], direction.chi1[n], direction.chi2[n])
+        xi[n + 1], rho[n + 1], omega[n + 1], zeta[n + 1] = level
+    return LinearizedTrajectory(grid=g, xi=xi, rho=rho, omega=omega, zeta=zeta)
 
 
 def trajectory_distance(a: StateTrajectory, b, lin: LinearizedTrajectory = None, scale=1.0):

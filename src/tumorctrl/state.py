@@ -277,7 +277,7 @@ def step_phi(phi, sigma, z, chi1, ops, spec):
     """Implicit diffusion, explicit reaction; clamp to [0, N] with a log."""
     U = mdl.eval_U(phi, sigma, z, chi1, spec)
     sol = ops.neumann(phi + ops.tau * U)
-    excess = max(float(-sol.min()), float(sol.max() - spec.N), 0.0)
+    excess = max(0.0, float(-sol.min()), float(sol.max() - spec.N))
     return np.clip(sol, 0.0, spec.N), excess
 
 
@@ -286,7 +286,7 @@ def step_sigma(sigma, phi, z, chi2, sigma_cap, ops, spec):
     tau = ops.tau
     react = chi2 * spec.S.value(phi, z) - mdl.eval_K(phi, sigma, z, spec)
     sol = ops.robin(sigma + tau * react + tau * spec.grid.robin_source(spec.sigma_gamma))
-    excess = max(float(-sol.min()), float(sol.max() - sigma_cap), 0.0)
+    excess = max(0.0, float(-sol.min()), float(sol.max() - sigma_cap))
     return np.clip(sol, 0.0, sigma_cap), excess
 
 

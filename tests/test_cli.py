@@ -71,6 +71,14 @@ def test_zero_scenario_runs_clean(tmp_path, capsys):
         assert np.all(values == 0.0)
 
 
+def test_zero_data_logs_no_negative_clamp(tmp_path, capsys):
+    # the fields' minimum is exactly 0.0, so the clamp excess is +0.0, not -0.0
+    cfg = write_cfg(tmp_path, ZERO_SCENARIO)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    info = read_manifest(tmp_path / "out" / "run.manifest")
+    assert info["phi_clamp_max"] == info["sigma_clamp_max"] == "0.000000e+00"
+
+
 def test_zero_initial_damage_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[model]\nz0 = zero\n")
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -2,8 +2,9 @@
 every factorization (sparse LU, eigen- or singular value decomposition)
 stays in linalg, only snapshots picks a snapshot file's reader or writer,
 only the command line writes a run directory, only linearized assembles
-the linearization coefficients, and the command line loads neither
-scipy.sparse.linalg nor scipy.linalg nor scipy.special."""
+the linearization coefficients and writes the tangent's substeps, and the
+command line loads neither scipy.sparse.linalg nor scipy.linalg nor
+scipy.special."""
 import ast
 import os
 import subprocess
@@ -62,6 +63,17 @@ def test_only_the_command_line_writes_a_run_directory():
 def test_only_linearized_assembles_coefficients():
     offenders = names_outside(("linearized.py",), ("assemble_coefficients",))
     assert not offenders, "coefficients assembled outside linearized:\n" + "\n".join(offenders)
+
+
+def test_only_linearized_writes_the_tangent_substeps():
+    # the tangent's CG labels name its substeps, written once in TangentStep.apply
+    labels = {"omega-step", "zeta-step"}
+    found = []
+    for path in sorted(Path(tumorctrl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and node.value in labels:
+                found.append(f"{path.name}:{node.lineno}: {node.value}")
+    assert [f.split(":")[0] for f in found] == ["linearized.py"] * 2, "\n".join(found)
 
 
 def test_cli_import_loads_no_sparse_linalg():

@@ -11,15 +11,19 @@ from tumorctrl.adjoint import CostWeights, Targets, march_adjoint, solve_adjoint
 from tumorctrl.errors import DomainError
 from tumorctrl.grid import Grid, stress_from_strain, tensor_dot
 from tumorctrl.linearized import (
+    TangentStep,
     assemble_coefficients,
     block_steps,
+    coefficient_levels,
     one_sided,
     solve_linearized,
     taylor_test,
     trajectory_distance,
 )
 from tumorctrl.presets import bounds_stress_scenario, smooth_scenario
-from tumorctrl.state import Control, solve_state, step_operators, u_operator
+from tumorctrl.state import (
+    Control, solve_state, step_operators, step_phi, step_sigma, step_u, step_z, u_operator,
+)
 
 
 @pytest.fixture(scope="module", params=["default", "k2-variable"])
@@ -277,6 +281,38 @@ def small_run():
     sc = smooth_scenario(nx=8, n_steps=6)
     traj = solve_state(sc.control, sc.spec)
     return sc, traj
+
+
+def test_tangent_step_is_the_derivative_of_one_forward_step(small_run):
+    # the state substeps rebuild level n + 1 from stored level n bitwise, and
+    # central differences of that step along random (state, dose)
+    # directions, the displacement zero on the boundary, resolve apply
+    sc, traj = small_run
+    spec, d = sc.spec, traj.diagnostics
+    assert d.phi_clamp.max() == 0.0 and d.sigma_clamp.max() == 0.0
+    ops = step_operators(spec, traj.tau)
+    levels = {n: co for n, co, _ in coefficient_levels(traj, spec, range(traj.n_steps), shift=1)}
+
+    def forward(phi, sigma, u, z, chi1, chi2):
+        phi_new, _ = step_phi(phi, sigma, z, chi1, ops, spec)
+        sigma_new, _ = step_sigma(sigma, phi, z, chi2, d.sigma_cap, ops, spec)
+        u_new, eps_u, _ = step_u(u, phi_new, z, ops, spec)
+        z_new, _ = step_z(z, phi_new, eps_u, ops, spec)
+        return phi_new, sigma_new, u_new, z_new
+
+    rng, h = np.random.default_rng(13), 1e-4
+    for n in (0, 3, 5):
+        x = (traj.phi[n], traj.sigma[n], traj.u[n], traj.z[n], traj.control.chi1[n], traj.control.chi2[n])
+        stored = (traj.phi[n + 1], traj.sigma[n + 1], traj.u[n + 1], traj.z[n + 1])
+        assert all(np.array_equal(got, want) for got, want in zip(forward(*x), stored))
+        dx = [rng.standard_normal(f.shape) for f in x]
+        dx[2] = dx[2] * ~spec.grid.boundary_mask
+        plus = forward(*(f + h * df for f, df in zip(x, dx)))
+        minus = forward(*(f - h * df for f, df in zip(x, dx)))
+        tangent = TangentStep(traj, spec, n, levels[n], ops).apply(*dx)
+        for name, p, m, t in zip(("xi", "rho", "omega", "zeta"), plus, minus, tangent):
+            err = np.abs((p - m) / (2.0 * h) - t).max() / np.abs(t).max()
+            assert err <= 1e-7, (n, name, err)
 
 
 def smooth_direction(sc, seed, time_varying=True):
