@@ -1,19 +1,20 @@
-"""Cost functional and its adjoint system.
+"""Cost functional, its first derivative in the state, and its adjoint system.
 
 The objective combines nine weighted addends: running and terminal
 tracking for tumor and lactate, terminal tumor and damage mass, a strain
 burden weighted by a tumor-dependent density, running damage tracking,
-and a quadratic dose effort.  march_adjoint marches the dual system
-backward from the terminal payoffs with implicit diffusion and explicit
-cross couplings taken from the later time level, mirroring the forward
-splitting in reverse, and yields one level at a time; solve_adjoint keeps
-the dual tumor and lactate fields, the only ones the gradient reads.  The
-dual fields weight how a dose perturbation at each node propagates into
-the objective; duality_residual measures how closely that transfer
-matches the tangent solver, which is the committed discretization gap of
-the gradient (first order in the step).  eval_cost and duality_residual
-evaluate their running integrands in blocks of time levels, so neither
-holds more than one field over the horizon besides its inputs.
+and a quadratic dose effort.  Its state partials are written once, in
+running_partials and terminal_partials.  march_adjoint seeds the dual
+fields at T with the terminal ones and takes its sources from the running
+ones, marching backward with implicit diffusion and explicit cross
+couplings from the later time level (the forward splitting in reverse)
+and yielding one level at a time; solve_adjoint keeps the dual tumor and
+lactate fields, the only ones the gradient reads.  cost_derivative pairs
+the partials with a tangent; duality_residual measures its gap to the
+dual dose pairing, the committed discretization error of the gradient
+(first order in the step).  eval_cost and cost_derivative evaluate their
+running integrands in blocks of time levels, so neither holds more than
+one field over the horizon besides its inputs.
 """
 from dataclasses import astuple, dataclass
 
@@ -140,6 +141,53 @@ def eval_cost(traj: StateTrajectory, weights: CostWeights, targets: Targets, spe
     return sum(parts.values()), parts
 
 
+def running_partials(phi, sigma, z, eps, weights: CostWeights, targets: Targets, spec):
+    """Partials of eval_cost's running integrand in (phi, sigma, z, strain) at given levels.
+
+    eps is component-first, and the strain partial pairs with a strain
+    through tensor_dot.  The dose effort has no state partial.
+    """
+    a = weights.as_array()
+    return (
+        a[0] * (phi - targets.phi_track) + 0.5 * a[5] * spec.gamma.d(phi) * tensor_dot(eps, eps),
+        a[3] * (sigma - targets.sigma_track),
+        a[6] * (z - targets.z_track),
+        a[5] * spec.gamma.value(phi) * eps,
+    )
+
+
+def terminal_partials(traj: StateTrajectory, weights: CostWeights, targets: Targets):
+    """Partials of eval_cost's terminal addends in (phi, sigma, z) at level K."""
+    a = weights.as_array()
+    return (
+        a[1] * (traj.phi[-1] - targets.phi_final) + a[2],
+        a[4] * (traj.sigma[-1] - targets.sigma_final),
+        np.full(traj.grid.shape, a[7]),
+    )
+
+
+def cost_derivative(traj: StateTrajectory, lin, weights: CostWeights, targets: Targets, spec):
+    """Derivative of eval_cost along the tangent lin of traj, less the dose effort's.
+
+    The terminal partials pair with lin at level K, the running partials
+    with lin and its strain under eval_cost's time quadrature.
+    """
+    weights.validate()
+    g = traj.grid
+    targets.validate(g)
+
+    def running(t):
+        eps, lin_eps = traj.strain(t.start, t.stop), lin.strain(t.start, t.stop)
+        l_phi, l_sigma, l_z, l_eps = running_partials(
+            traj.phi[t], traj.sigma[t], traj.z[t], eps, weights, targets, spec
+        )
+        return l_phi * lin.xi[t] + l_sigma * lin.rho[t] + l_z * lin.zeta[t] + tensor_dot(l_eps, lin_eps)
+
+    K = traj.n_steps
+    ends = zip(terminal_partials(traj, weights, targets), (lin.xi[K], lin.rho[K], lin.zeta[K]))
+    return sum(g.inner(p, f) for p, f in ends) + _time_quadrature(traj)(running)
+
+
 @dataclass
 class AdjointTrajectory:
     """The dual tumor and lactate fields on the state time nodes.
@@ -155,10 +203,10 @@ class AdjointTrajectory:
 def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets, spec):
     """March the dual system backward along a stored trajectory, level by level.
 
-    Terminal payoffs seed the dual fields at T; each backward step takes
-    implicit diffusion (and the implicit damage slope) at the earlier
-    level while every cross coupling and tracking source is evaluated at
-    the later one.  Where forward step m - 1 clamped, step m first passes
+    The terminal partials seed the dual fields at T; each backward step
+    takes implicit diffusion (and the implicit damage slope) at the earlier
+    level while every cross coupling and the running partials, its
+    sources, are evaluated at the later one.  Where forward step m - 1 clamped, step m first passes
     q and r of level m through one_sided, the transpose of the tangent's
     one-sided clamp derivative.  Yields (q, r, v, s) at time levels K down
     to 0 and keeps only the current level.  Each level comes in new arrays
@@ -168,14 +216,11 @@ def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
     weights.validate()
     g = traj.grid
     targets.validate(g)
-    a = weights.as_array()
     K = traj.n_steps
     tau = traj.tau
 
-    q = a[1] * (traj.phi[K] - targets.phi_final) + a[2]
-    r = a[4] * (traj.sigma[K] - targets.sigma_final)
+    q, r, s = terminal_partials(traj, weights, targets)
     v = np.zeros((2,) + g.shape)
-    s = np.full(g.shape, a[7])
     # the strain of v at the later level, the only one a backward step reads
     eps_v = np.zeros((3,) + g.shape)
     yield q, r, v, s
@@ -185,26 +230,20 @@ def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
 
     for m, co, ee in coefficient_levels(traj, spec, range(K, 0, -1), shift=0):
         ph, sg, zz = traj.phi[m], traj.sigma[m], traj.z[m]
+        l_phi, l_sigma, l_z, l_eps = running_partials(ph, sg, zz, ee, weights, targets, spec)
         q, r = one_sided(traj, spec, m, q, r)
 
-        f_q = (
-            co.a1 * q
-            + co.b1 * r
-            + co.d1 * s
-            - tensor_dot(co.c1, eps_v)
-            + a[0] * (ph - targets.phi_track)
-            + 0.5 * a[5] * spec.gamma.d(ph) * tensor_dot(ee, ee)
-        )
+        f_q = co.a1 * q + co.b1 * r + co.d1 * s - tensor_dot(co.c1, eps_v) + l_phi
         q_new = ops.neumann(q + tau * f_q)
 
-        f_r = co.a2 * q + co.b2 * r + a[3] * (sg - targets.sigma_track)
+        f_r = co.a2 * q + co.b2 * r + l_sigma
         r_new = ops.robin(r + tau * f_r)
 
-        load = gtw @ (co.d2 * s + a[5] * spec.gamma.value(ph) * ee).reshape(3, -1).ravel()
+        load = gtw @ (co.d2 * s + l_eps).reshape(3, -1).ravel()
         M_int = u_operator(spec, *eval_B(ph, traj.z[m - 1], spec), tau)
         v, eps_v_new, _ = ops.displace(v, load, M_int, "v-step")
 
-        f_s = co.a3 * q + co.b3 * r - tensor_dot(co.c2, eps_v) + a[6] * (zz - targets.z_track)
+        f_s = co.a3 * q + co.b3 * r - tensor_dot(co.c2, eps_v) + l_z
         s, _ = ops.damage(1.0 - tau * co.d3, s + tau * f_s, "s-step", x0=s)
         q, r, eps_v = q_new, r_new, eps_v_new
         yield q, r, v, s
@@ -221,45 +260,23 @@ def solve_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
 
 
 def duality_residual(traj, lin, adj, direction, weights: CostWeights, targets: Targets, spec):
-    """Gap between the dual dose pairing and the tangent cost derivative.
+    """Gap between the dual dose pairing and cost_derivative along the tangent.
 
     The two sides agree for the continuous problem; their discrete gap is
     first order in the step and bounds the committed gradient error.
     Returns the two sides, the gap, and the gap relative to their scale.
     """
-    weights.validate()
-    g = traj.grid
-    targets.validate(g)
     for name, field in (("lin", lin.xi), ("adj", adj.q), ("direction", direction.chi1)):
         if field.shape != traj.phi.shape:
             raise ValueError(f"{name} has levels {field.shape}, the trajectory {traj.phi.shape}")
-    direction.validate(g)
-    a = weights.as_array()
-    K = traj.n_steps
-    quad = _time_quadrature(traj)
+    direction.validate(traj.grid)
+    rhs = cost_derivative(traj, lin, weights, targets, spec)
 
     def pairing(t):
         a4, b4 = dose_coefficients(traj.phi[t], traj.z[t], spec)
         return a4 * direction.chi1[t] * adj.q[t] + b4 * direction.chi2[t] * adj.r[t]
 
-    def running(t):
-        phi, eps = traj.phi[t], traj.strain(t.start, t.stop)
-        return (
-            a[0] * (phi - targets.phi_track) * lin.xi[t]
-            + a[3] * (traj.sigma[t] - targets.sigma_track) * lin.rho[t]
-            + a[6] * (traj.z[t] - targets.z_track) * lin.zeta[t]
-            + 0.5 * a[5] * spec.gamma.d(phi) * tensor_dot(eps, eps) * lin.xi[t]
-            + a[5] * spec.gamma.value(phi) * tensor_dot(eps, lin.strain(t.start, t.stop))
-        )
-
-    lhs = quad(pairing)
-    rhs = (
-        a[1] * g.inner(traj.phi[K] - targets.phi_final, lin.xi[K])
-        + a[2] * g.integrate(lin.xi[K])
-        + a[4] * g.inner(traj.sigma[K] - targets.sigma_final, lin.rho[K])
-        + a[7] * g.integrate(lin.zeta[K])
-        + quad(running)
-    )
+    lhs = _time_quadrature(traj)(pairing)
     gap = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1e-30)
     return {"lhs": lhs, "rhs": rhs, "gap": gap, "rel": gap / scale}

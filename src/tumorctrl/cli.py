@@ -275,14 +275,8 @@ def cmd_optimize(cfg, args):
         write_snapshots(out, cfg.spec.grid, n, n * tau, named, cfg.fmt)
 
     vi = vi_residual(res.control, res.gradient, cfg.spec, cfg.admissible, seed=cfg.seed)
-    if res.converged:
-        reason = "converged"
-    elif res.iterations < cfg.max_iters:
-        reason = "line search stalled"
-    else:
-        reason = "iteration limit"
     print(f"cost {res.initial_cost:.9e} -> {res.cost:.9e} in {res.iterations} iterations "
-          f"(stationarity {res.stationarity:.3e}, {reason})")
+          f"(stationarity {res.stationarity:.3e}, {res.reason})")
     print(str(vi))
     print(f"wrote {out / 'history.csv'}")
 

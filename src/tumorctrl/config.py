@@ -189,7 +189,6 @@ class RunConfig:
     stride: int
     fmt: str
     seed: int
-    source: Path
     spec: Optional[ModelSpec] = None
     targets: Optional[Targets] = None
     control0: Optional[Control] = None
@@ -368,7 +367,6 @@ def load_config(path) -> RunConfig:
         stride=stride,
         fmt=fmt,
         seed=s_run.get_int("seed", 0),
-        source=path,
     )
     cfg.spec, cfg.targets, cfg.control0, _ = cfg.at_scale(0)
     return cfg

@@ -116,15 +116,15 @@ class OptimizeResult:
     """Returned control with its cost, trajectory and reduced gradient.
 
     initial_cost is the cost at the projected start; gradient is the
-    reduced gradient at control, the input vi_residual certifies.
+    reduced gradient at control, the input vi_residual certifies.  reason
+    is why the loop stopped: converged, line search stalled or iteration limit.
     """
 
     control: Control
     cost: float
-    parts: dict
     stationarity: float
     iterations: int
-    converged: bool
+    reason: str
     initial_cost: float
     gradient: Control
     history: list = field(default_factory=list)
@@ -156,21 +156,17 @@ def optimize(
     adm.validate()
     current, _ = project_admissible(control0, adm, g, T)
     traj = solve_state(current, spec)
-    cost, parts = eval_cost(traj, weights, targets, spec)
+    cost, _ = eval_cost(traj, weights, targets, spec)
     initial_cost = cost
     history = []
     lam = step0
     stat = np.inf
-    converged = False
+    reason = "iteration limit"
     it = 0
-    # whether grad is the reduced gradient at traj; besides traj, the loop
-    # keeps only grad and at most one candidate and its trajectory alive
-    # across a solve
-    grad, grad_current = None, False
-
+    # besides traj, the loop keeps only grad and at most one candidate and
+    # its trajectory alive across a solve
     for it in range(1, max_iters + 1):
         grad = reduced_gradient(traj, solve_adjoint(traj, weights, targets, spec), weights, spec)
-        grad_current = True
 
         probe, _ = project_admissible(
             Control(current.chi1 - grad.chi1, current.chi2 - grad.chi2), adm, g, T
@@ -181,7 +177,7 @@ def optimize(
         del probe
         stat = stat_abs / max(1.0, control_norm(current, g, T))
         if stat <= tol:
-            converged = True
+            reason = "converged"
             history.append((it, cost, stat, 0.0, 0))
             break
 
@@ -202,30 +198,29 @@ def optimize(
             if move_sq == 0.0:
                 break
             cand_traj = solve_state(cand, spec)
-            cand_cost, cand_parts = eval_cost(cand_traj, weights, targets, spec)
+            cand_cost, _ = eval_cost(cand_traj, weights, targets, spec)
             if cand_cost <= cost - (armijo / lam) * move_sq:
                 accepted = True
                 break
             lam *= 0.5
         if not accepted:
+            reason = "line search stalled"
             history.append((it, cost, stat, lam, int(ball_active)))
             break
-        current, traj, cost, parts = cand, cand_traj, cand_cost, cand_parts
-        grad_current = False
+        current, traj, cost = cand, cand_traj, cand_cost
         history.append((it, cost, stat, lam, int(ball_active)))
         lam = min(2.0 * lam, step0)
 
-    # the loop's gradient is stale after an accepted last step, and
+    # at the limit the loop's gradient is one accepted step stale, or
     # missing when no iteration ran
-    if not grad_current:
+    if reason == "iteration limit":
         grad = reduced_gradient(traj, solve_adjoint(traj, weights, targets, spec), weights, spec)
     return OptimizeResult(
         control=current,
         cost=cost,
-        parts=parts,
         stationarity=stat,
         iterations=it,
-        converged=converged,
+        reason=reason,
         initial_cost=initial_cost,
         gradient=grad,
         history=history,

@@ -27,7 +27,6 @@ class Scenario:
     spec: object
     control: Control
     n_steps: int
-    description: str = ""
     extras: dict = None
 
 
@@ -42,7 +41,7 @@ def smooth_scenario(nx=48, n_steps=100, T=0.5) -> Scenario:
     control = Control(
         np.broadcast_to(base1, shape).copy(), np.broadcast_to(base2, shape).copy()
     )
-    return Scenario("smooth", spec, control, n_steps, "fully coupled smooth run")
+    return Scenario("smooth", spec, control, n_steps)
 
 
 def bounds_stress_scenario(n_steps=10, chi1_level=800.0) -> Scenario:
@@ -64,9 +63,7 @@ def bounds_stress_scenario(n_steps=10, chi1_level=800.0) -> Scenario:
         f=np.zeros((2,) + grid.shape),
     )
     control = Control.constant(grid, n_steps, chi1_level, 0.2)
-    return Scenario(
-        "bounds-stress", spec, control, n_steps, "clamp diagnostics stress run"
-    )
+    return Scenario("bounds-stress", spec, control, n_steps)
 
 
 def ode_scenario(n_steps=50, nx=6) -> Scenario:
@@ -100,7 +97,6 @@ def ode_scenario(n_steps=50, nx=6) -> Scenario:
         spec,
         control,
         n_steps,
-        "homogeneous data, lactate balanced at its boundary value",
         extras={"sigma_level": sg, "chi1": chi1c, "chi2": chi2c},
     )
 
@@ -155,6 +151,5 @@ def synthetic_inverse_pair(nx=10, n_steps=12, T=0.5):
         spec,
         reference,
         n_steps,
-        "tracking targets generated by a known reference dose",
         extras={"weights": weights, "targets": targets},
     )

@@ -1,5 +1,8 @@
-"""Adjoint tests: cost quadrature against closed forms, terminal payoffs,
-a decoupled backward recursion oracle, and the duality gap ladder."""
+"""Adjoint tests: cost quadrature against closed forms, the cost partials
+against central differences of the cost, terminal payoffs, a decoupled
+backward recursion oracle, and the duality gap ladder."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,12 @@ from tumorctrl.adjoint import (
     duality_residual,
     eval_cost,
     march_adjoint,
+    running_partials,
     solve_adjoint,
+    terminal_partials,
 )
 from tumorctrl.control import reduced_gradient
-from tumorctrl.grid import Grid
+from tumorctrl.grid import Grid, tensor_dot, trapezoid_weights
 from tumorctrl.linearized import solve_linearized
 from tumorctrl.presets import smooth_scenario
 from tumorctrl.state import Control, StateTrajectory, solve_state
@@ -65,6 +70,55 @@ def test_cost_closed_form_on_constants():
     for name, val in want.items():
         assert parts[name] == pytest.approx(val, rel=1e-12), name
     assert total == pytest.approx(sum(want.values()), rel=1e-12)
+
+
+def test_cost_partials_are_the_derivative_of_eval_cost():
+    # a synthetic trajectory with strains of order 0.1, so that every
+    # partial is well above the differences' rounding; the cost is
+    # quadratic in each field except through gamma, so central differences
+    # match the partials to O(h^2)
+    g = Grid.unit(8, 8)
+    spec = mdl.DefaultLogisticFamily().build(g)
+    K, x, y = 4, *g.meshes
+    lv = np.arange(K + 1)[:, None, None]
+    u = np.stack([0.2 * x * y, 0.1 * np.sin(np.pi * x) * y])
+    traj = StateTrajectory(
+        grid=g,
+        times=np.linspace(0.0, 0.4, K + 1),
+        phi=0.3 + 0.1 * np.sin(np.pi * x) * np.cos(np.pi * y) + 0.02 * lv,
+        sigma=0.6 + 0.1 * x * y - 0.01 * lv,
+        u=u * (1.0 + 0.1 * lv[:, None]),
+        z=0.5 + 0.05 * np.cos(np.pi * x) + 0.01 * lv,
+        control=Control.constant(g, K, 0.7, 0.4),
+    )
+    w = CostWeights(1.0, 2.0, 0.5, 3.0, 0.25, 1.5, 0.8, 0.6, 0.1)
+    tg = Targets(0.1 + 0.05 * x, 0.2 * y, 0.4 + 0.2 * x * y, 0.5 - 0.1 * x, 0.45 + 0.05 * y)
+    tw = traj.tau * trapezoid_weights(K)
+    wq = g.quad_weights.reshape(g.shape)
+    h = 1e-4
+
+    def central(name, n, delta):
+        costs = []
+        for sign in (1.0, -1.0):
+            moved = getattr(traj, name).copy()
+            moved[n] += sign * h * delta
+            costs.append(eval_cost(replace(traj, **{name: moved}), w, tg, spec)[0])
+        return (costs[0] - costs[1]) / (2.0 * h)
+
+    terminal = terminal_partials(traj, w, tg)
+    for n in (0, 2, K):
+        eps = traj.strain(n, n + 1)[:, 0]
+        l_phi, l_sigma, l_z, l_eps = running_partials(traj.phi[n], traj.sigma[n], traj.z[n], eps, w, tg, spec)
+        for node in ((0, 0), (3, 5), (8, 2)):
+            delta = np.zeros(g.shape)
+            delta[node] = 1.0
+            for name, part, end in zip(("phi", "sigma", "z"), (l_phi, l_sigma, l_z), terminal):
+                want = wq[node] * (tw[n] * part[node] + (end[node] if n == K else 0.0))
+                assert central(name, n, delta) == pytest.approx(want, rel=1e-7), (name, n, node)
+            du = np.zeros((2,) + g.shape)
+            du[0][node], du[1][node[::-1]] = 1.0, -0.5
+            want = tw[n] * g.integrate(tensor_dot(l_eps, g.sym_grad(du)))
+            assert central("u", n, du) == pytest.approx(want, rel=1e-7), ("u", n, node)
 
 
 def test_cost_weight_validation():

@@ -179,7 +179,7 @@ def test_optimizer_drives_pure_effort_cost_to_floor():
         tol=1e-12,
     )
     assert res.cost < 1e-8
-    assert res.converged
+    assert res.reason == "converged"
     assert res.iterations <= 3
 
 
@@ -196,7 +196,7 @@ def test_optimizer_settles_on_active_box_face():
         max_iters=20,
         tol=1e-12,
     )
-    assert res.converged
+    assert res.reason == "converged"
     assert np.max(np.abs(res.control.chi1 - 0.1)) < 1e-12
     assert np.max(np.abs(res.control.chi2 - 0.1)) < 1e-12
 
@@ -223,6 +223,8 @@ def test_vi_residual_flags_non_minimizer():
         ("converged", dict(max_iters=30, tol=1e-4, step0=100.0)),
         ("line search stalled", dict(max_iters=30, tol=0.0, step0=1000.0, max_backtracks=1)),
         ("iteration limit", dict(max_iters=1, tol=0.0)),
+        # stalls on the last allowed iteration: the limit was not what stopped it
+        ("line search stalled", dict(max_iters=2, tol=0.0, step0=1000.0, max_backtracks=1)),
     ],
 )
 def test_optimize_returns_start_cost_and_final_gradient(monkeypatch, exit_kind, options):
@@ -236,9 +238,7 @@ def test_optimize_returns_start_cost_and_final_gradient(monkeypatch, exit_kind, 
 
     monkeypatch.setattr(control, "solve_adjoint", counted)
     res = optimize(spec, w, tg, adm, sc.control, **options)
-    kind = ("converged" if res.converged else
-            "line search stalled" if res.iterations < options["max_iters"] else "iteration limit")
-    assert kind == exit_kind
+    assert res.reason == exit_kind
     assert res.cost < res.initial_cost  # at least one step was accepted
     # only the limit exit leaves the gradient one accepted step behind
     assert len(adjoints) == res.iterations + (exit_kind == "iteration limit")

@@ -3,8 +3,8 @@ every factorization (sparse LU, eigen- or singular value decomposition)
 stays in linalg, only snapshots picks a snapshot file's reader or writer,
 only the command line writes a run directory, only linearized assembles
 the linearization coefficients and writes the tangent's substeps, and the
-command line loads neither scipy.sparse.linalg nor scipy.linalg nor
-scipy.special."""
+command line loads none of scipy.sparse.linalg, scipy.linalg,
+scipy.special and scipy.integrate, at import or in a run."""
 import ast
 import os
 import subprocess
@@ -76,11 +76,18 @@ def test_only_linearized_writes_the_tangent_substeps():
     assert [f.split(":")[0] for f in found] == ["linearized.py"] * 2, "\n".join(found)
 
 
-def test_cli_import_loads_no_sparse_linalg():
-    # each of these costs memory and start-up time in every run
+def test_cli_import_loads_no_sparse_linalg(tmp_path):
+    # each of these costs memory and start-up time in every run; only
+    # simulate --oracle may load scipy.integrate
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[grid]\nnx = 8\nny = 8\n[time]\nsteps = 4\n")
     code = (
-        "import sys, tumorctrl.cli; assert 'scipy.sparse.linalg' not in sys.modules; "
-        "loaded = {'scipy.linalg', 'scipy.special'} & set(sys.modules); assert not loaded, loaded"
+        "import sys, tumorctrl.cli as cli\n"
+        "heavy = {'scipy.sparse.linalg', 'scipy.linalg', 'scipy.special', 'scipy.integrate'}\n"
+        "assert not heavy & set(sys.modules), ('import', heavy & set(sys.modules))\n"
+        "for cmd in ('simulate', 'optimize', 'gradient-check'):\n"
+        f"    cli.main([cmd, '--config', {str(ini)!r}, '--out', {str(tmp_path)!r} + '/' + cmd])\n"
+        "    assert not heavy & set(sys.modules), (cmd, heavy & set(sys.modules))\n"
     )
     src = str(Path(tumorctrl.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -7,7 +7,14 @@ import pytest
 
 from tumorctrl import linearized
 from tumorctrl import model as mdl
-from tumorctrl.adjoint import CostWeights, Targets, march_adjoint, solve_adjoint
+from tumorctrl.adjoint import (
+    CostWeights,
+    Targets,
+    march_adjoint,
+    running_partials,
+    solve_adjoint,
+    terminal_partials,
+)
 from tumorctrl.errors import DomainError
 from tumorctrl.grid import Grid, stress_from_strain, tensor_dot
 from tumorctrl.linearized import (
@@ -183,34 +190,31 @@ def reference_tangent(traj, direction, spec):
 
 
 def reference_adjoint(traj, weights, targets, spec):
-    """Per-step adjoint march, one assemble_coefficients call per level."""
-    g, K, tau, a = spec.grid, traj.n_steps, traj.tau, weights.as_array()
+    """Per-step adjoint march, one assemble_coefficients call per level.
+
+    Its sources are the cost partials the march reads, so the two agree
+    bitwise; test_cost_partials_are_the_derivative_of_eval_cost checks the
+    partials themselves.
+    """
+    g, K, tau = spec.grid, traj.n_steps, traj.tau
     chi1, chi2 = traj.control.chi1, traj.control.chi2
     q, r, s = (np.zeros((K + 1,) + g.shape) for _ in range(3))
     v, eps_v = np.zeros((K + 1, 2) + g.shape), np.zeros((K + 1, 3) + g.shape)
-    q[K] = a[1] * (traj.phi[K] - targets.phi_final) + a[2]
-    r[K] = a[4] * (traj.sigma[K] - targets.sigma_final)
-    s[K] = a[7]
+    q[K], r[K], s[K] = terminal_partials(traj, weights, targets)
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
     for m in range(K, 0, -1):
         ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], g.sym_grad(traj.u[m])
         co = assemble_coefficients(ph, sg, zz, ee, chi1[m], chi2[m], spec)
-        f_q = (
-            co.a1 * q[m]
-            + co.b1 * r[m]
-            + co.d1 * s[m]
-            - tensor_dot(co.c1, eps_v[m])
-            + a[0] * (ph - targets.phi_track)
-            + 0.5 * a[5] * spec.gamma.d(ph) * tensor_dot(ee, ee)
-        )
+        l_phi, l_sigma, l_z, l_eps = running_partials(ph, sg, zz, ee, weights, targets, spec)
+        f_q = co.a1 * q[m] + co.b1 * r[m] + co.d1 * s[m] - tensor_dot(co.c1, eps_v[m]) + l_phi
         q[m - 1] = ops.neumann(q[m] + tau * f_q)
-        f_r = co.a2 * q[m] + co.b2 * r[m] + a[3] * (sg - targets.sigma_track)
+        f_r = co.a2 * q[m] + co.b2 * r[m] + l_sigma
         r[m - 1] = ops.robin(r[m] + tau * f_r)
-        load = gtw @ (co.d2 * s[m] + a[5] * spec.gamma.value(ph) * ee).reshape(3, -1).ravel()
+        load = gtw @ (co.d2 * s[m] + l_eps).reshape(3, -1).ravel()
         M_int = u_operator(spec, *mdl.eval_B(ph, traj.z[m - 1], spec), tau)
         v[m - 1], eps_v[m - 1], _ = ops.displace(v[m], load, M_int, "v-step")
-        f_s = co.a3 * q[m] + co.b3 * r[m] - tensor_dot(co.c2, eps_v[m]) + a[6] * (zz - targets.z_track)
+        f_s = co.a3 * q[m] + co.b3 * r[m] - tensor_dot(co.c2, eps_v[m]) + l_z
         s[m - 1], _ = ops.damage(1.0 - tau * co.d3, s[m] + tau * f_s, "s-step", x0=s[m])
     return q, r, v, s
 
