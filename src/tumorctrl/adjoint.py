@@ -16,7 +16,7 @@ dual dose pairing, the committed discretization error of the gradient
 running integrands in blocks of time levels, so neither holds more than
 one field over the horizon besides its inputs.
 """
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -80,8 +80,8 @@ class Targets:
         )
 
     def validate(self, grid):
-        for name in ("phi_track", "phi_final", "sigma_track", "sigma_final", "z_track"):
-            arr = getattr(self, name)
+        for f in fields(self):
+            name, arr = f.name, getattr(self, f.name)
             if arr.shape != grid.shape:
                 raise ValueError(f"target {name} has shape {arr.shape}, grid wants {grid.shape}")
             if not np.all(np.isfinite(arr)):

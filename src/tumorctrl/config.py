@@ -26,7 +26,7 @@ fields cannot be rescaled and reject that path.
 """
 import configparser
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -47,7 +47,7 @@ _FAMILY_KEYS = {
 
 _CONST_KINETICS = ("k1_const", "k2_const", "s_const")
 _FIELD_KEYS = ("phi0", "sigma0", "z0", "iota", "sigma_boundary", "force_x", "force_y")
-_TARGET_KEYS = ("phi_track", "phi_final", "sigma_track", "sigma_final", "z_track")
+_TARGET_KEYS = tuple(f.name for f in fields(Targets))
 
 _SCHEMA = {
     "grid": {"nx", "ny", "lx", "ly"},
@@ -223,12 +223,10 @@ class RunConfig:
         if overrides:
             spec = spec.with_fields(**overrides)
 
-        targets = Targets.resting(spec)
-        if self.target_expr:
-            fields = {k: getattr(targets, k) for k in _TARGET_KEYS}
-            for key, expr in self.target_expr.items():
-                fields[key] = parse_expression(expr, grid, self.base)
-            targets = Targets(**fields)
+        targets = replace(
+            Targets.resting(spec),
+            **{k: parse_expression(expr, grid, self.base) for k, expr in self.target_expr.items()},
+        )
         _validated(targets.validate, grid)
 
         n_steps = self.n_steps << m

@@ -10,14 +10,18 @@ doses, but not in general: with the ball active on a non-constant dose
 the radial rescale can land farther from the input than the nearest
 admissible point.
 
-optimize returns the reduced gradient at the control it returns, so a
-caller can certify the result without a further state or adjoint solve.
-vi_residual probes the first-order optimality of a candidate, given the
-reduced gradient at that candidate, from two independent routes:
-directional pairings against admissible probes and the fixed-point
-residual of the projection map.  Both are reported; a negative
-directional value beyond tolerance disproves optimality no matter what
-the projection residual says.
+The first-order condition is the variational inequality
+u = P_U(u - grad J(u)); natural_residual forms its residual
+r = x - P_U(x - g) with project_admissible, so it is exact only where
+that projection is.  optimize stops on the relative norm of r and
+returns it as stationarity together with the reduced gradient; on every
+exit both describe the control it returns, so a caller can certify the
+result without a further state or adjoint solve.  vi_residual probes
+the first-order optimality of a candidate, given the reduced gradient at
+that candidate, from two independent routes: directional pairings
+against admissible probes and the norm of r.  Both are reported; a
+negative directional value beyond tolerance disproves optimality no
+matter what the projection residual says.
 """
 from dataclasses import dataclass, field
 from typing import Optional
@@ -90,6 +94,14 @@ def project_admissible(control: Control, adm: AdmissibleSet, grid, T):
     return Control(chi1, chi2), ball_active
 
 
+def natural_residual(control: Control, grad: Control, adm: AdmissibleSet, grid, T):
+    """The natural residual x - P_U(x - g) at the control x with reduced gradient g."""
+    proj, _ = project_admissible(
+        Control(control.chi1 - grad.chi1, control.chi2 - grad.chi2), adm, grid, T
+    )
+    return Control(control.chi1 - proj.chi1, control.chi2 - proj.chi2)
+
+
 def reduced_gradient(traj: StateTrajectory, adj: AdjointTrajectory, weights: CostWeights, spec):
     """Gradient of the reduced objective in the dose metric.
 
@@ -116,8 +128,9 @@ class OptimizeResult:
     """Returned control with its cost, trajectory and reduced gradient.
 
     initial_cost is the cost at the projected start; gradient is the
-    reduced gradient at control, the input vi_residual certifies.  reason
-    is why the loop stopped: converged, line search stalled or iteration limit.
+    reduced gradient at control, the input vi_residual certifies, and
+    stationarity the relative natural residual there.  reason is why the
+    loop stopped: converged, line search stalled or iteration limit.
     """
 
     control: Control
@@ -140,42 +153,38 @@ def optimize(
     max_iters=100,
     tol=1e-6,
     step0=1.0,
-    armijo=1e-4,
     max_backtracks=30,
 ):
     """Projected gradient descent with Armijo backtracking.
 
     The accepted step doubles into the next iteration but never beyond
-    the initial step.  Stationarity is the norm of the projected gradient
-    step at unit length, relative to the dose size.  History records
-    (iteration, cost, stationarity, step, ball_active) per iteration.
+    the initial step.  Stationarity is the norm of the natural residual,
+    relative to the dose size.  History records (iteration, cost,
+    stationarity, step, ball_active) per iteration.
     """
     g = spec.grid
     T = spec.T
     weights.validate()
     adm.validate()
+
+    def first_order(current, traj):
+        """Reduced gradient and stationarity at an iterate."""
+        grad = reduced_gradient(traj, solve_adjoint(traj, weights, targets, spec), weights, spec)
+        r_norm = control_norm(natural_residual(current, grad, adm, g, T), g, T)
+        return grad, r_norm / max(1.0, control_norm(current, g, T))
+
     current, _ = project_admissible(control0, adm, g, T)
     traj = solve_state(current, spec)
     cost, _ = eval_cost(traj, weights, targets, spec)
     initial_cost = cost
+    grad, stat = first_order(current, traj)
     history = []
     lam = step0
-    stat = np.inf
     reason = "iteration limit"
     it = 0
     # besides traj, the loop keeps only grad and at most one candidate and
     # its trajectory alive across a solve
     for it in range(1, max_iters + 1):
-        grad = reduced_gradient(traj, solve_adjoint(traj, weights, targets, spec), weights, spec)
-
-        probe, _ = project_admissible(
-            Control(current.chi1 - grad.chi1, current.chi2 - grad.chi2), adm, g, T
-        )
-        stat_abs = control_norm(
-            Control(current.chi1 - probe.chi1, current.chi2 - probe.chi2), g, T
-        )
-        del probe
-        stat = stat_abs / max(1.0, control_norm(current, g, T))
         if stat <= tol:
             reason = "converged"
             history.append((it, cost, stat, 0.0, 0))
@@ -199,7 +208,7 @@ def optimize(
                 break
             cand_traj = solve_state(cand, spec)
             cand_cost, _ = eval_cost(cand_traj, weights, targets, spec)
-            if cand_cost <= cost - (armijo / lam) * move_sq:
+            if cand_cost <= cost - (1e-4 / lam) * move_sq:
                 accepted = True
                 break
             lam *= 0.5
@@ -210,11 +219,9 @@ def optimize(
         current, traj, cost = cand, cand_traj, cand_cost
         history.append((it, cost, stat, lam, int(ball_active)))
         lam = min(2.0 * lam, step0)
+        del grad  # the stale gradient goes before the next one is made
+        grad, stat = first_order(current, traj)
 
-    # at the limit the loop's gradient is one accepted step stale, or
-    # missing when no iteration ran
-    if reason == "iteration limit":
-        grad = reduced_gradient(traj, solve_adjoint(traj, weights, targets, spec), weights, spec)
     return OptimizeResult(
         control=current,
         cost=cost,
@@ -295,7 +302,7 @@ def vi_residual(candidate: Control, grad: Control, spec, adm: AdmissibleSet, n_r
     adjoint is solved here.  Pairs it with admissible directions (box
     corners, random admissible draws) and reports the most negative
     pairing; a minimizer keeps every pairing nonnegative.  Also reports
-    the projection fixed-point residual as an independent route.
+    the norm of the natural residual as an independent route.
     """
     g = spec.grid
     T = spec.T
@@ -312,16 +319,10 @@ def vi_residual(candidate: Control, grad: Control, spec, adm: AdmissibleSet, n_r
         n_probes += 1
         del probe, d  # gone before the next probe is made
 
-    proj, _ = project_admissible(
-        Control(candidate.chi1 - grad.chi1, candidate.chi2 - grad.chi2), adm, g, T
-    )
-    resid = control_norm(
-        Control(candidate.chi1 - proj.chi1, candidate.chi2 - proj.chi2), g, T
-    )
     return VIReport(
         worst_pairing=float(worst),
         worst_probe=worst_name,
-        projection_residual=resid,
+        projection_residual=control_norm(natural_residual(candidate, grad, adm, g, T), g, T),
         n_probes=n_probes,
         scale=max(scale, 1e-30),
     )

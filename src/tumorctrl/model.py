@@ -358,7 +358,6 @@ class HypothesisRow:
     ok: bool
     margin: float
     witness: str
-    note: str = ""
 
 
 @dataclass
@@ -387,7 +386,7 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def _row_from_margins(name, margins, args, note="", floor=None):
+def _row_from_margins(name, margins, args, floor=None):
     """Collect min margin over samples; negative margin means violation.
 
     A floor is a range bound that must be strictly positive: it joins the
@@ -398,10 +397,10 @@ def _row_from_margins(name, margins, args, note="", floor=None):
         margins = np.minimum(margins, floor)
     if not np.all(np.isfinite(margins)):
         i = int(np.argmax(~np.isfinite(margins)))
-        return HypothesisRow(name, False, float("-inf"), _witness(args, i), "non-finite")
+        return HypothesisRow(name, False, float("-inf"), _witness(args, i))
     i = int(np.argmin(margins))
     ok = margins[i] >= 0.0 and (floor is None or floor > 0.0)
-    return HypothesisRow(name, bool(ok), float(margins[i]), _witness(args, i), note)
+    return HypothesisRow(name, bool(ok), float(margins[i]), _witness(args, i))
 
 
 def _witness(args, i):
@@ -452,7 +451,6 @@ def check_hypotheses(
                 [k1, spec.k1.hi - k1, k2 - spec.k2.lo, spec.k2.hi - k2, S, spec.S.hi - S]
             ),
             (ph, zz),
-            note="k2 window is strictly positive",
             floor=spec.k2.lo,
         )
     )
@@ -465,7 +463,6 @@ def check_hypotheses(
             "elasticity-positivity",
             np.minimum.reduce([mu - spec.B_mu.lo, lam, np.full(n, const_part)]),
             (ph, zz),
-            note="viscous tensor constant, elastic moduli sampled",
             floor=spec.B_mu.lo,
         )
     )
@@ -482,7 +479,6 @@ def check_hypotheses(
             bool(spec.C1 > 0.0 and blow >= 0.0),
             float(min(spec.C1, blow)),
             f"(C1={spec.C1:.4g})",
-            "log potential blows up at both ends",
         )
     )
 
@@ -492,7 +488,6 @@ def check_hypotheses(
             "damage-perturbation-lipschitz",
             (2.0 * abs(spec.C2) + 1e-12) - lip,
             (rr,),
-            note="concave perturbation, constant slope",
         )
     )
 
@@ -503,7 +498,6 @@ def check_hypotheses(
             bool(np.all(np.isfinite(spec.iota))),
             iota_max,
             f"(max |iota| = {iota_max:.4g})",
-            "time-constant source",
         )
     )
 
@@ -517,7 +511,6 @@ def check_hypotheses(
             "mechanical-coupling-bounded",
             np.where(finite, spec.psi.bound - np.abs(psi), -np.inf),
             (ph, eps[0]),
-            note=f"sampled Lipschitz constant {grad_norm.max():.3g}",
         )
     )
 
@@ -548,7 +541,6 @@ def check_hypotheses(
             bool(closed_margin >= 0.0 and interior_margin > 0.0 and bnd_u0 == 0.0),
             init_margin,
             f"(z0 in [{z0min:.4g}, {z0max:.4g}])",
-            "strict interior damage, clamped displacement",
         )
     )
 
@@ -560,7 +552,6 @@ def check_hypotheses(
                 bool(np.all(w >= 0.0) and np.any(w > 0.0)),
                 float(w.min()) if w.size else -1.0,
                 f"(sum = {w.sum():.4g})",
-                "nonnegative, not all zero",
             )
         )
     if targets is not None:
@@ -571,7 +562,6 @@ def check_hypotheses(
                 finite_t,
                 0.0 if finite_t else float("-inf"),
                 f"({len(targets)} targets)",
-                "finite grid samples",
             )
         )
 
@@ -583,7 +573,6 @@ def check_hypotheses(
             "stress-weight-bounded",
             np.minimum(gam, spec.gamma.bound - (np.abs(gam) + np.abs(dgam))),
             (phr,),
-            note="nonnegative with bounded slope",
         )
     )
 

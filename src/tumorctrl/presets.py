@@ -23,7 +23,6 @@ from .state import Control
 
 @dataclass
 class Scenario:
-    name: str
     spec: object
     control: Control
     n_steps: int
@@ -41,7 +40,7 @@ def smooth_scenario(nx=48, n_steps=100, T=0.5) -> Scenario:
     control = Control(
         np.broadcast_to(base1, shape).copy(), np.broadcast_to(base2, shape).copy()
     )
-    return Scenario("smooth", spec, control, n_steps)
+    return Scenario(spec, control, n_steps)
 
 
 def bounds_stress_scenario(n_steps=10, chi1_level=800.0) -> Scenario:
@@ -63,7 +62,7 @@ def bounds_stress_scenario(n_steps=10, chi1_level=800.0) -> Scenario:
         f=np.zeros((2,) + grid.shape),
     )
     control = Control.constant(grid, n_steps, chi1_level, 0.2)
-    return Scenario("bounds-stress", spec, control, n_steps)
+    return Scenario(spec, control, n_steps)
 
 
 def ode_scenario(n_steps=50, nx=6) -> Scenario:
@@ -92,13 +91,8 @@ def ode_scenario(n_steps=50, nx=6) -> Scenario:
         f=np.zeros((2,) + grid.shape),
     )
     control = Control.constant(grid, n_steps, chi1c, chi2c)
-    return Scenario(
-        "ode-reduction",
-        spec,
-        control,
-        n_steps,
-        extras={"sigma_level": sg, "chi1": chi1c, "chi2": chi2c},
-    )
+    extras = {"sigma_level": sg, "chi1": chi1c, "chi2": chi2c}
+    return Scenario(spec, control, n_steps, extras=extras)
 
 
 def ode_rhs(spec, sigma_level, chi1):
@@ -146,10 +140,4 @@ def synthetic_inverse_pair(nx=10, n_steps=12, T=0.5):
         sigma_final=ref_traj.sigma[-1].copy(),
         z_track=ref_traj.z[-1].copy(),
     )
-    return Scenario(
-        "synthetic-inverse",
-        spec,
-        reference,
-        n_steps,
-        extras={"weights": weights, "targets": targets},
-    )
+    return Scenario(spec, reference, n_steps, extras={"weights": weights, "targets": targets})

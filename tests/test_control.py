@@ -10,6 +10,7 @@ from tumorctrl.control import (
     control_inner,
     control_norm,
     fd_directional,
+    natural_residual,
     optimize,
     project_admissible,
     reduced_gradient,
@@ -249,6 +250,10 @@ def test_optimize_returns_start_cost_and_final_gradient(monkeypatch, exit_kind, 
     grad = reduced_gradient(traj, solve_adjoint(traj, w, tg, spec), w, spec)
     assert np.array_equal(res.gradient.chi1, grad.chi1)
     assert np.array_equal(res.gradient.chi2, grad.chi2)
+    # the reported stationarity is that of the returned control, bitwise
+    g, T = spec.grid, spec.T
+    r = natural_residual(res.control, res.gradient, adm, g, T)
+    assert res.stationarity == control_norm(r, g, T) / max(1.0, control_norm(res.control, g, T))
 
 
 @pytest.fixture(scope="module")

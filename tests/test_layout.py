@@ -85,7 +85,7 @@ def test_cli_import_loads_no_sparse_linalg(tmp_path):
         "import sys, tumorctrl.cli as cli\n"
         "heavy = {'scipy.sparse.linalg', 'scipy.linalg', 'scipy.special', 'scipy.integrate'}\n"
         "assert not heavy & set(sys.modules), ('import', heavy & set(sys.modules))\n"
-        "for cmd in ('simulate', 'optimize', 'gradient-check'):\n"
+        "for cmd in ('simulate', 'optimize', 'gradient-check', 'separation', 'hypothesis-check'):\n"
         f"    cli.main([cmd, '--config', {str(ini)!r}, '--out', {str(tmp_path)!r} + '/' + cmd])\n"
         "    assert not heavy & set(sys.modules), (cmd, heavy & set(sys.modules))\n"
     )
