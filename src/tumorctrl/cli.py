@@ -190,37 +190,30 @@ def cmd_gradient_check(cfg, args):
     """tangent slope test plus adjoint-vs-difference table"""
     if not _gate_passes(cfg):
         return EXIT_FAIL
-    levels = 1 + args.refine
     rng = np.random.default_rng(cfg.seed)
+
+    def draw(n_steps, grid):
+        # positive draws keep the directional derivative away from zero
+        shape = (n_steps + 1,) + grid.shape
+        return Control(rng.uniform(0.0, 1.0, shape), rng.uniform(0.0, 1.0, shape))
+
     print(f"tolerance anchor: {_GRAD_TOL:.1e} at {_REF_NX}x{_REF_NX}, "
           f"scaled by the coarsening factor")
+    tt = taylor_test(cfg.control0, draw(cfg.n_steps, cfg.spec.grid), cfg.spec)
+    print(f"taylor slope {tt['slope']:.4f} (remainders "
+          + ", ".join(f"{r:.3e}" for r in tt["remainder"]) + ")")
 
-    slope = None
-    prev_err = None
     ok = True
-    for m in range(levels):
+    for m in range(1 + args.refine):
         spec, targets, control0, n_steps = cfg.at_scale(m) if m else (
-            cfg.spec, cfg.targets, cfg.control0, cfg.n_steps
-        )
+            cfg.spec, cfg.targets, cfg.control0, cfg.n_steps)
+        traj = solve_state(control0, spec) if m else tt["base"]
         grid = spec.grid
-        shape = (n_steps + 1,) + grid.shape
-        if m == 0:
-            direction = Control(
-                rng.uniform(0.0, 1.0, shape), rng.uniform(0.0, 1.0, shape)
-            )
-            tt = taylor_test(control0, direction, spec)
-            slope = tt["slope"]
-            print(f"taylor slope {slope:.4f} (remainders "
-                  + ", ".join(f"{r:.3e}" for r in tt["remainder"]) + ")")
-            traj = tt["base"]
-        else:
-            traj = solve_state(control0, spec)
         adj = solve_adjoint(traj, cfg.weights, targets, spec)
         grad = reduced_gradient(traj, adj, cfg.weights, spec)
         errs = []
-        # positive draws keep the directional derivative away from zero
         for _ in range(3):
-            d = Control(rng.uniform(0.0, 1.0, shape), rng.uniform(0.0, 1.0, shape))
+            d = draw(n_steps, grid)
             pred = control_inner(grad, d, grid, spec.T)
             ref = fd_directional(control0, d, cfg.weights, targets, spec)
             errs.append(abs(pred - ref) / max(abs(ref), 1e-14))
@@ -231,7 +224,7 @@ def cmd_gradient_check(cfg, args):
         print(f"level {m}: {grid.nx}x{grid.ny}, {n_steps} steps, "
               f"relative errors " + ", ".join(f"{e:.3e}" for e in errs)
               + f", tolerance {tol:.1e} -> {'ok' if line_ok else 'FAIL'}")
-        if prev_err is not None:
+        if m:
             ratio = prev_err / max(worst, 1e-300)
             imp_ok = ratio >= _IMPROVE_MIN
             ok = ok and imp_ok
@@ -239,10 +232,9 @@ def cmd_gradient_check(cfg, args):
                   f"(needs >= {_IMPROVE_MIN}) -> {'ok' if imp_ok else 'FAIL'}")
         prev_err = worst
 
-    slope_ok = slope is not None and slope >= _SLOPE_MIN
-    if not slope_ok:
-        print(f"taylor slope {slope} below {_SLOPE_MIN}")
-    ok = ok and slope_ok
+    if tt["slope"] < _SLOPE_MIN:
+        print(f"taylor slope {tt['slope']} below {_SLOPE_MIN}")
+        ok = False
     print("gradient-check: " + ("PASS" if ok else "FAIL"))
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -263,10 +255,9 @@ def cmd_optimize(cfg, args):
         step0=cfg.step0,
     )
     write_history(out / "history.csv", res.history)
-    tau = cfg.spec.T / cfg.n_steps
     for n in range(0, cfg.n_steps + 1, cfg.stride):
         named = (("chi1", res.control.chi1[n]), ("chi2", res.control.chi2[n]))
-        write_snapshots(out, cfg.spec.grid, n, n * tau, named, cfg.fmt)
+        write_snapshots(out, cfg.spec.grid, n, float(res.trajectory.times[n]), named, cfg.fmt)
 
     vi = vi_residual(res.control, res.gradient, cfg.spec, cfg.admissible, seed=cfg.seed)
     print(f"cost {res.initial_cost:.9e} -> {res.cost:.9e} in {res.iterations} iterations "

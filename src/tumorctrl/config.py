@@ -45,7 +45,8 @@ _FAMILY_KEYS = {
     f.name.lower(): f.name for f in fields(DefaultLogisticFamily) if f.name not in ("T", "k2_variable")
 }
 
-_CONST_KINETICS = ("k1_const", "k2_const", "s_const")
+# each constant-kinetics key and the ModelSpec map it replaces
+_CONST_KINETICS = {"k1_const": "k1", "k2_const": "k2", "s_const": "S"}
 _FIELD_KEYS = ("phi0", "sigma0", "z0", "iota", "sigma_boundary", "force_x", "force_y")
 _TARGET_KEYS = tuple(f.name for f in fields(Targets))
 
@@ -54,7 +55,7 @@ _SCHEMA = {
     "time": {"t_final", "steps"},
     "model": set(_FAMILY_KEYS) | {"k2_variable"} | set(_CONST_KINETICS) | set(_FIELD_KEYS),
     "cost": {f"alpha{i}" for i in range(1, 10)} | set(_TARGET_KEYS),
-    "admissible": {"chi1_low", "chi1_high", "chi2_low", "chi2_high", "c_ad"},
+    "admissible": {f.name for f in fields(AdmissibleSet)},
     "optimizer": {"step0", "tol", "max_iters"},
     "controls": {"chi1", "chi2"},
     "output": {"directory", "stride", "format"},
@@ -218,10 +219,9 @@ class RunConfig:
             else:
                 overrides[key] = arr
         for key, value in self.const_kinetics.items():
-            attr = {"k1_const": "k1", "k2_const": "k2", "s_const": "S"}[key]
-            overrides[attr] = constant_map(value)
+            overrides[_CONST_KINETICS[key]] = constant_map(value)
         if overrides:
-            spec = spec.with_fields(**overrides)
+            spec = replace(spec, **overrides)
 
         targets = replace(
             Targets.resting(spec),
@@ -319,11 +319,7 @@ def load_config(path) -> RunConfig:
     _validated(weights.validate)
 
     admissible = AdmissibleSet(
-        chi1_low=s_adm.get_float("chi1_low", 0.0),
-        chi1_high=s_adm.get_float("chi1_high", 1.0),
-        chi2_low=s_adm.get_float("chi2_low", 0.0),
-        chi2_high=s_adm.get_float("chi2_high", 1.0),
-        c_ad=s_adm.get_float("c_ad", np.inf),
+        **{f.name: s_adm.get_float(f.name, f.default) for f in fields(AdmissibleSet)}
     )
     _validated(admissible.validate)
     step0 = s_opt.get_float("step0", 1.0)

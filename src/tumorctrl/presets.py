@@ -12,7 +12,7 @@ count.  The three families serve different purposes:
   consumption so the whole system collapses to a pointwise ODE, giving an
   independent integrator something exact to compare with.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,8 +52,8 @@ def bounds_stress_scenario(n_steps=10, chi1_level=800.0) -> Scenario:
     """
     grid = Grid.unit(8, 8)
     fam = DefaultLogisticFamily(T=0.5)
-    spec = fam.build(grid)
-    spec = spec.with_fields(
+    spec = replace(
+        fam.build(grid),
         phi0=np.full(grid.shape, 0.3),
         sigma0=np.full(grid.shape, 0.5),
         sigma_gamma=np.full(grid.shape, 0.5),
@@ -74,12 +74,12 @@ def ode_scenario(n_steps=50, nx=6) -> Scenario:
     """
     grid = Grid.unit(nx, nx)
     fam = DefaultLogisticFamily(T=0.5)
-    spec = fam.build(grid)
     k1c, k2c, Sc = 0.5, 1.0, 0.8
     sg, phic, zc = 0.6, 0.25, 0.45
     chi1c = 0.15
     chi2c = k1c * sg / ((k2c + sg) * Sc)
-    spec = spec.with_fields(
+    spec = replace(
+        fam.build(grid),
         k1=constant_map(k1c),
         k2=constant_map(k2c),
         S=constant_map(Sc),

@@ -183,7 +183,8 @@ def test_backward_recursion_oracle():
     base = mdl.DefaultLogisticFamily().build(g)
     zbar = 0.45
     iota = float(mdl.beta(zbar, base) + mdl.pi(zbar, base))
-    spec = base.with_fields(
+    spec = replace(
+        base,
         phi0=np.zeros(g.shape),
         sigma0=np.zeros(g.shape),
         sigma_gamma=np.zeros(g.shape),

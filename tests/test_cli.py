@@ -1,5 +1,6 @@
 """End-to-end command line tests: exit codes, diagnostics, determinism."""
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 from tumorctrl import adjoint, cli, model, state
 from tumorctrl.cli import main
-from tumorctrl.config import load_config
+from tumorctrl.config import load_config, parse_expression
 from tumorctrl.errors import ConfigError, DomainError, SeparationError, SolverError
 from tumorctrl.grid import Grid
 from tumorctrl.snapshots import read_manifest, read_snapshot, read_snapshot_csv, write_snapshot_csv
@@ -462,6 +463,61 @@ def test_gradient_check_reuses_taylor_base_solve(tmp_path, capsys, monkeypatch):
     assert len(states) == 1 + 5 + 3 * 2
 
 
+GRADIENT_REFINE = """
+[grid]
+nx = 8
+ny = 8
+[time]
+steps = 8
+[cost]
+alpha6 = 0.3
+alpha9 = 0.1
+[controls]
+chi1 = const:0.2
+chi2 = const:0.3
+[run]
+seed = 7
+"""
+
+
+def test_gradient_check_refined_level_improves(tmp_path, capsys):
+    rc = main(["gradient-check", "--config", write_cfg(tmp_path, GRADIENT_REFINE), "--refine", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[1].startswith("taylor slope ")
+    for line, head, tol in ((lines[2], "level 0: 8x8, 8 steps", "6.0e-02"),
+                            (lines[3], "level 1: 16x16, 16 steps", "3.0e-02")):
+        assert line.startswith(head + ", relative errors ")
+        assert line.endswith(f", tolerance {tol} -> ok")
+    ratio = re.fullmatch(r"  improvement over previous level (\d+\.\d\d)x \(needs >= 1\.5\) -> ok",
+                         lines[4])
+    assert ratio and float(ratio[1]) >= 1.5
+    assert lines[5:] == ["gradient-check: PASS"]
+
+
+def test_gradient_check_low_taylor_slope_fails(tmp_path, capsys, monkeypatch):
+    taylor = cli.taylor_test
+    monkeypatch.setattr(cli, "taylor_test", lambda *args: {**taylor(*args), "slope": 1.0})
+    text = "[grid]\nnx = 6\nny = 6\n[time]\nsteps = 6\n[run]\nseed = 5\n"
+    rc = main(["gradient-check", "--config", write_cfg(tmp_path, text)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines[-2:] == ["taylor slope 1.0 below 1.25", "gradient-check: FAIL"]
+
+
+def test_optimize_stamps_doses_with_the_forward_times(tmp_path, capsys):
+    # at 49 steps n * (T / 49) misses T = 0.5 by one ulp at the last level
+    text = "[grid]\nnx = 6\nny = 6\n[time]\nsteps = 49\n[optimizer]\nmax_iters = 1\n[output]\nstride = 49\n"
+    cfg = write_cfg(tmp_path, text)
+    main(["optimize", "--config", cfg, "--out", str(tmp_path / "opt")])
+    main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")])
+    for n in (0, 49):
+        _, _, t_dose = read_snapshot(tmp_path / "opt" / f"chi1_{n:05d}.csv")
+        _, _, t_state = read_snapshot(tmp_path / "sim" / f"phi_{n:05d}.csv")
+        assert t_dose == t_state
+    assert t_dose == 0.5
+
+
 def test_optimize_effort_only_hits_floor(tmp_path, capsys):
     text = """
 [grid]
@@ -572,3 +628,20 @@ def test_oracle_rejects_inhomogeneous_config(tmp_path, capsys):
     rc = main(["simulate", "--config", cfg, "--oracle", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "pointwise oracle" in capsys.readouterr().err
+
+
+def test_tanh_front_ramps_between_its_levels():
+    g = Grid.unit(8, 8)
+    front = parse_expression("tanh_front:0.1,0.9,0.5,0.05", g)
+    assert front.shape == g.shape
+    assert g.xs[4] == 0.5
+    assert np.allclose(front[:, 4], 0.5, rtol=0, atol=1e-15)
+    assert np.allclose(front[:, 0], 0.1, rtol=0, atol=1e-8)
+    assert np.allclose(front[:, -1], 0.9, rtol=0, atol=1e-8)
+    assert np.all(np.diff(front, axis=1) > 0)
+
+
+@pytest.mark.parametrize("width", ["0", "-0.1"])
+def test_tanh_front_width_must_be_positive(width):
+    with pytest.raises(ConfigError, match="front width must be positive"):
+        parse_expression(f"tanh_front:0.1,0.9,0.5,{width}", Grid.unit(8, 8))

@@ -78,7 +78,8 @@ def test_only_linearized_writes_the_tangent_substeps():
 
 def test_cli_import_loads_no_sparse_linalg(tmp_path):
     # each of these costs memory and start-up time in every run; only
-    # simulate --oracle may load scipy.integrate
+    # simulate --oracle may load scipy.integrate.  gradient-check runs with
+    # --refine 1, so the rebuild at a refined resolution is checked too
     ini = tmp_path / "tiny.ini"
     ini.write_text("[grid]\nnx = 8\nny = 8\n[time]\nsteps = 4\n")
     code = (
@@ -86,7 +87,8 @@ def test_cli_import_loads_no_sparse_linalg(tmp_path):
         "heavy = {'scipy.sparse.linalg', 'scipy.linalg', 'scipy.special', 'scipy.integrate'}\n"
         "assert not heavy & set(sys.modules), ('import', heavy & set(sys.modules))\n"
         "for cmd in ('simulate', 'optimize', 'gradient-check', 'separation', 'hypothesis-check'):\n"
-        f"    cli.main([cmd, '--config', {str(ini)!r}, '--out', {str(tmp_path)!r} + '/' + cmd])\n"
+        "    refine = ['--refine', '1'] if cmd == 'gradient-check' else []\n"
+        f"    cli.main([cmd, '--config', {str(ini)!r}, '--out', {str(tmp_path)!r} + '/' + cmd] + refine)\n"
         "    assert not heavy & set(sys.modules), (cmd, heavy & set(sys.modules))\n"
     )
     src = str(Path(tumorctrl.__file__).parents[1])

@@ -260,7 +260,7 @@ def test_tangent_evaluates_the_moduli_once_per_block(monkeypatch, small_run):
 
         return replace(m, value=value, value_grad=value_grad)
 
-    spec = sc.spec.with_fields(B_mu=counting("mu", sc.spec.B_mu), B_lam=counting("lam", sc.spec.B_lam))
+    spec = replace(sc.spec, B_mu=counting("mu", sc.spec.B_mu), B_lam=counting("lam", sc.spec.B_lam))
     lin = solve_linearized(traj, sc.control, spec)
     reference = [(name, "value", True) for name in ("mu", "lam")]
     blocks = [(name, "value_grad", False) for name in ("mu", "lam")] * 2

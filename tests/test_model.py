@@ -1,5 +1,6 @@
 """Model tests: formulas, derivative consistency, hypotheses, barriers."""
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_consumption_bounded_for_admissible_sigma(spec):
 
 def test_barrier_symmetry_and_frozen_log(spec):
     assert M.beta(0.5, spec) == 0.0
-    one = spec.with_fields(C1=1.0)
+    one = replace(spec, C1=1.0)
     assert M.beta(0.01, one) == pytest.approx(BETA_001, rel=1e-14)
 
 
@@ -229,9 +230,7 @@ def test_variable_k2_family_passes(spec_k2var):
 
 
 def test_forced_proliferation_violation(spec):
-    from dataclasses import replace
-
-    bad = spec.with_fields(p=replace(spec.p, hi=0.1))
+    bad = replace(spec, p=replace(spec.p, hi=0.1))
     rep = M.check_hypotheses(bad, sample_budget=4000)
     row = next(r for r in rep.rows if r.name == "proliferation-bounds")
     assert not row.ok
@@ -244,15 +243,13 @@ def test_forced_proliferation_violation(spec):
     ("B_mu", "elasticity-positivity"),
 ])
 def test_zero_floor_fails_its_row(spec, field, row):
-    from dataclasses import replace
-
-    bad = spec.with_fields(**{field: replace(getattr(spec, field), lo=0.0)})
+    bad = replace(spec, **{field: replace(getattr(spec, field), lo=0.0)})
     rep = M.check_hypotheses(bad, sample_budget=1000)
     assert [r.name for r in rep.failures] == [row]
 
 
 def test_zero_initial_damage_fails(spec):
-    bad = spec.with_fields(z0=np.zeros_like(spec.z0))
+    bad = replace(spec, z0=np.zeros_like(spec.z0))
     rep = M.check_hypotheses(bad, sample_budget=1000)
     row = next(r for r in rep.rows if r.name == "initial-data-range")
     assert not row.ok
@@ -276,9 +273,8 @@ def test_report_renders(spec):
 
 def closed_form_spec(spec, c1=1.0, c2=0.0, iota=1.9, psi_max=0.1, z0=0.5):
     # engineered so that b = |iota| + psi_max hits a clean closed form
-    from dataclasses import replace
-
-    return spec.with_fields(
+    return replace(
+        spec,
         C1=c1,
         C2=c2,
         iota=np.full_like(spec.iota, iota),

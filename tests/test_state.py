@@ -81,7 +81,7 @@ def test_phi_clamp_excess_halves_with_tau():
 
 def test_sigma_zero_stays_zero(small_spec):
     g = small_spec.grid
-    spec = small_spec.with_fields(sigma_gamma=const(g, 0.0))
+    spec = replace(small_spec, sigma_gamma=const(g, 0.0))
     ops = step_operators(spec, 0.01)
     out, excess = step_sigma(const(g, 0), const(g, 0.2), const(g, 0.5), const(g, 0.0), 1.0, ops, spec)
     assert np.all(out == 0.0)
@@ -90,7 +90,8 @@ def test_sigma_zero_stays_zero(small_spec):
 
 def test_sigma_constant_steady_state(small_spec):
     g = small_spec.grid
-    spec = small_spec.with_fields(
+    spec = replace(
+        small_spec,
         k1=mdl.constant_map(0.0), sigma_gamma=const(g, spec_m0 := small_spec.M0)
     )
     ops = step_operators(spec, 0.05)
@@ -105,7 +106,7 @@ def test_sigma_tracks_scalar_recursion_for_small_tau(small_spec):
     # boundary exchange pollutes a constant profile only at O(tau^2/h)
     g = small_spec.grid
     c, tau = 0.5, 1e-4
-    spec = small_spec.with_fields(sigma_gamma=const(g, c))
+    spec = replace(small_spec, sigma_gamma=const(g, c))
     chi2 = const(g, 0.4)
     ops = step_operators(spec, tau)
     out, _ = step_sigma(const(g, c), const(g, 0.3), const(g, 0.5), chi2, 2.0, ops, spec)
@@ -119,7 +120,7 @@ def test_sigma_tracks_scalar_recursion_for_small_tau(small_spec):
 def test_u_zero_data_zero_solution(small_spec):
     g = small_spec.grid
     z2 = np.zeros((2,) + g.shape)
-    spec = small_spec.with_fields(f=z2)
+    spec = replace(small_spec, f=z2)
     u_new, eps_new, _ = step_u(z2, const(g, 0.3), const(g, 0.5), step_operators(spec, 0.02), spec)
     assert np.all(u_new == 0.0)
     assert np.all(eps_new == 0.0)
@@ -247,7 +248,7 @@ def test_sweeps_on_one_spec_evaluate_the_reference_moduli_once():
 
         return replace(m, value=value)
 
-    spec = sc.spec.with_fields(B_mu=counting("mu", sc.spec.B_mu), B_lam=counting("lam", sc.spec.B_lam))
+    spec = replace(sc.spec, B_mu=counting("mu", sc.spec.B_mu), B_lam=counting("lam", sc.spec.B_lam))
     traj = solve_state(sc.control, spec)
     solve_linearized(traj, sc.control, spec)
     solve_adjoint(traj, CostWeights(), Targets.resting(spec), spec)
@@ -262,7 +263,7 @@ def test_step_operators_are_cached(small_spec):
 def test_step_operators_key_carries_reference_moduli(small_spec):
     # the displacement preconditioner is taken at the moduli of (phi0, z0)
     g = small_spec.grid
-    other = small_spec.with_fields(phi0=small_spec.phi0 + 0.1)
+    other = replace(small_spec, phi0=small_spec.phi0 + 0.1)
     a, b = step_operators(small_spec, 0.02), step_operators(other, 0.02)
     assert a.u_factor is not b.u_factor
     r = np.random.default_rng(5).standard_normal(len(g.interior_vector_indices))
@@ -359,7 +360,7 @@ def test_u_one_step_manufactured_second_order():
         X, Y = g.meshes
         f = np.stack([fns[0](X, Y), fns[1](X, Y)])
         exact = np.stack([fns[2](X, Y), fns[3](X, Y)])
-        spec = mdl.DefaultLogisticFamily().build(g).with_fields(f=f)
+        spec = replace(mdl.DefaultLogisticFamily().build(g), f=f)
         u_new, _, _ = step_u(
             np.zeros((2,) + g.shape), fns[4](X, Y), fns[5](X, Y), step_operators(spec, tau), spec
         )
@@ -405,7 +406,7 @@ def test_z_stationary_fixed_point(small_spec):
     zbar, phc = 0.45, 0.3
     psi = float(small_spec.psi.value(np.array([phc]), np.zeros((3, 1)))[0])
     iota = float(mdl.beta(zbar, small_spec) + mdl.pi(zbar, small_spec)) + psi
-    spec = small_spec.with_fields(iota=const(g, iota))
+    spec = replace(small_spec, iota=const(g, iota))
     ops = step_operators(spec, 0.05)
     out, _ = step_z(const(g, zbar), const(g, phc), np.zeros((3,) + g.shape), ops, spec)
     assert np.abs(out - zbar).max() < 1e-9
@@ -432,6 +433,14 @@ def test_z_nonconvergence_names_the_last_residual(small_spec):
         step_z(const(g, 0.45), const(g, 0.3), np.zeros((3,) + g.shape), stalled, small_spec)
 
 
+def test_z_jacobian_losing_positivity_is_a_solver_error():
+    # at tau = 0.5 the concave slope of C2 = 10 outweighs the barrier at z = 0.5
+    spec = replace(mdl.DefaultLogisticFamily().build(Grid.unit(6, 6)), C2=10.0)
+    g = spec.grid
+    with pytest.raises(SolverError, match=r"lost positivity.*\(min diagonal -8\.000e\+00\)"):
+        step_z(const(g, 0.5), const(g, 0.2), np.zeros((3,) + g.shape), step_operators(spec, 0.5), spec)
+
+
 # -- full solve --------------------------------------------------------------
 
 
@@ -439,7 +448,8 @@ def test_fixed_point_trajectory(small_spec):
     g = small_spec.grid
     zbar = 0.45
     iota = float(mdl.beta(zbar, small_spec) + mdl.pi(zbar, small_spec))
-    spec = small_spec.with_fields(
+    spec = replace(
+        small_spec,
         phi0=const(g, 0.0),
         sigma0=const(g, 0.0),
         sigma_gamma=const(g, 0.0),
