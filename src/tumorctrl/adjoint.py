@@ -226,7 +226,6 @@ def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
     yield q, r, v, s
 
     ops = step_operators(spec, tau)
-    gtw = g.sym_grad_weighted_transpose
 
     for m, co, ee in coefficient_levels(traj, spec, range(K, 0, -1), shift=0):
         ph, sg, zz = traj.phi[m], traj.sigma[m], traj.z[m]
@@ -239,7 +238,7 @@ def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
         f_r = co.a2 * q + co.b2 * r + l_sigma
         r_new = ops.robin(r + tau * f_r)
 
-        load = gtw @ (co.d2 * s + l_eps).reshape(3, -1).ravel()
+        load = g.sym_grad_adjoint(co.d2 * s + l_eps)
         M_int = u_operator(spec, *eval_B(ph, traj.z[m - 1], spec), tau)
         v, eps_v_new, _ = ops.displace(v, load, M_int, "v-step")
 

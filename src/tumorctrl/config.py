@@ -3,7 +3,9 @@
 One INI file fully determines a run.  Sections: [grid], [time], [model],
 [cost], [admissible], [optimizer], [controls], [output], [run].  Every
 key is optional and falls back to the package defaults; unknown sections
-or keys are rejected with a named diagnostic rather than ignored.
+or keys are rejected with a named diagnostic rather than ignored, and an
+out-of-range value is rejected by name by the getter that reads its key
+("[time] steps must be at least 1, got 0").
 
 Spatial fields (initial data, targets, doses) are given in a small
 expression language::
@@ -132,19 +134,27 @@ class _Section:
         self.name = name
         self.data = dict(cp[name]) if cp.has_section(name) else {}
 
-    def get_float(self, key, default):
+    def get_float(self, key, default, bound=None):
+        """The key's number; bound "positive" or "non-negative" rejects the rest."""
         if key not in self.data:
             return default
-        return _number(self.data[key], f"[{self.name}] {key}")
+        v = _number(self.data[key], f"[{self.name}] {key}")
+        if (bound == "positive" and v <= 0) or (bound == "non-negative" and v < 0):
+            raise ConfigError(f"[{self.name}] {key} must be {bound}, got {v}")
+        return v
 
-    def get_int(self, key, default):
+    def get_int(self, key, default, least=None):
+        """The key's integer; a value below least is rejected."""
         if key not in self.data:
             return default
         raw = self.data[key]
         try:
-            return int(raw)
+            v = int(raw)
         except ValueError:
             raise ConfigError(f"[{self.name}] {key}: not an integer: {raw!r}") from None
+        if least is not None and v < least:
+            raise ConfigError(f"[{self.name}] {key} must be at least {least}, got {v}")
+        return v
 
     def get_bool(self, key, default):
         if key not in self.data:
@@ -255,9 +265,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
-    except configparser.Error as e:
+    except (configparser.Error, OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from e
 
     for sec in cp.sections():
@@ -277,36 +287,22 @@ def load_config(path) -> RunConfig:
     s_out = _Section(cp, "output")
     s_run = _Section(cp, "run")
 
-    nx = s_grid.get_int("nx", 48)
-    ny = s_grid.get_int("ny", 48)
-    lx = s_grid.get_float("lx", 1.0)
-    ly = s_grid.get_float("ly", 1.0)
-    if nx < 2 or ny < 2:
-        raise ConfigError(f"grid must have at least 2 cells per side, got {nx}x{ny}")
-    if lx <= 0 or ly <= 0:
-        raise ConfigError("grid side lengths must be positive")
+    nx = s_grid.get_int("nx", 48, least=2)
+    ny = s_grid.get_int("ny", 48, least=2)
+    lx = s_grid.get_float("lx", 1.0, "positive")
+    ly = s_grid.get_float("ly", 1.0, "positive")
+    T = s_time.get_float("t_final", 0.5, "positive")
+    n_steps = s_time.get_int("steps", 200, least=1)
 
-    T = s_time.get_float("t_final", 0.5)
-    n_steps = s_time.get_int("steps", 200)
-    if T <= 0:
-        raise ConfigError(f"final time must be positive, got {T}")
-    if n_steps < 1:
-        raise ConfigError(f"step count must be at least 1, got {n_steps}")
-
-    family_kw = {}
-    for ini_key, attr in _FAMILY_KEYS.items():
-        if ini_key in s_model.data:
-            family_kw[attr] = s_model.get_float(ini_key, None)
-    if "N" in family_kw and family_kw["N"] <= 0:
-        raise ConfigError(f"[model] n must be positive, got {family_kw['N']}")
+    family_kw = {
+        attr: s_model.get_float(key, None, "positive" if key == "n" else None)
+        for key, attr in _FAMILY_KEYS.items()
+        if key in s_model.data
+    }
     family_kw["k2_variable"] = s_model.get_bool("k2_variable", False)
-    const_kinetics = {}
-    for key in _CONST_KINETICS:
-        if key in s_model.data:
-            v = s_model.get_float(key, None)
-            if v <= 0:
-                raise ConfigError(f"[model] {key} must be positive, got {v}")
-            const_kinetics[key] = v
+    const_kinetics = {
+        key: s_model.get_float(key, None, "positive") for key in _CONST_KINETICS if key in s_model.data
+    }
 
     field_expr = {k: s_model.data[k] for k in _FIELD_KEYS if k in s_model.data}
     target_expr = {k: s_cost.data[k] for k in _TARGET_KEYS if k in s_cost.data}
@@ -322,22 +318,13 @@ def load_config(path) -> RunConfig:
         **{f.name: s_adm.get_float(f.name, f.default) for f in fields(AdmissibleSet)}
     )
     _validated(admissible.validate)
-    step0 = s_opt.get_float("step0", 1.0)
-    if step0 <= 0:
-        raise ConfigError(f"[optimizer] step0 must be positive, got {step0}")
-    tol = s_opt.get_float("tol", 1e-6)
-    if tol < 0:
-        raise ConfigError(f"[optimizer] tol must be non-negative, got {tol}")
-    max_iters = s_opt.get_int("max_iters", 100)
-    if max_iters < 1:
-        raise ConfigError(f"[optimizer] max_iters must be at least 1, got {max_iters}")
+    step0 = s_opt.get_float("step0", 1.0, "positive")
+    tol = s_opt.get_float("tol", 1e-6, "non-negative")
+    max_iters = s_opt.get_int("max_iters", 100, least=1)
 
     fmt = s_out.get_str("format", "csv")
     if fmt not in ("csv", "bin"):
         raise ConfigError(f"[output] format must be csv or bin, got {fmt!r}")
-    stride = s_out.get_int("stride", 1)
-    if stride < 1:
-        raise ConfigError(f"[output] stride must be at least 1, got {stride}")
 
     cfg = RunConfig(
         nx=nx,
@@ -358,9 +345,9 @@ def load_config(path) -> RunConfig:
         tol=tol,
         max_iters=max_iters,
         outdir=Path(s_out.get_str("directory", "out")),
-        stride=stride,
+        stride=s_out.get_int("stride", 1, least=1),
         fmt=fmt,
-        seed=s_run.get_int("seed", 0),
+        seed=s_run.get_int("seed", 0, least=0),
     )
     cfg.spec, cfg.targets, cfg.control0, _ = cfg.at_scale(0)
     return cfg

@@ -17,9 +17,9 @@ Design notes that the rest of the package relies on:
   assembled elasticity operator then converges at second order, which a
   higher-order closure row destroys.  The interior stencil is second order
   and that is what the refinement tests measure.
-* ``div_stress`` is defined as the negative weighted transpose of
-  ``sym_grad`` restricted to fields that vanish on the boundary, never as
-  an independent stencil.
+* ``sym_grad_adjoint`` is the weighted transpose of ``sym_grad``, the load
+  a stress field puts on the elasticity solve, never an independent
+  divergence stencil.
 """
 from dataclasses import dataclass
 from functools import cached_property
@@ -273,18 +273,15 @@ class Grid:
         e = self.sym_grad_matrix @ u.reshape(-1, 2 * self.n_nodes).T
         return e.reshape(3, self.n_nodes, -1).transpose(0, 2, 1).reshape((3,) + lead + self.shape)
 
-    def div_stress(self, s):
-        """Adjoint divergence of a symmetric tensor field.
+    def sym_grad_adjoint(self, s):
+        """Flat load G^T W_t s of a tensor field s, shape (2N,).
 
-        Satisfies <div_stress(s), w> = -<s, sym_grad(w)> exactly for every
-        displacement w vanishing on the boundary; boundary rows of the
-        output are set to zero because the pairing never sees them.
+        Satisfies load . w = integrate(tensor_dot(s, sym_grad(w))) exactly
+        for every displacement w, so it is the right-hand side a stress s
+        puts on the elasticity solve.
         """
         s = self._check(s, comps=3)
-        v = -(self.sym_grad_weighted_transpose @ s.ravel()) / self.vector_weights
-        v = v.reshape((2,) + self.shape)
-        v[:, self.boundary_mask] = 0.0
-        return v
+        return self.sym_grad_weighted_transpose @ s.ravel()
 
     def elastic_matrix(self, mu, lam):
         """Assembled operator for u -> -div(2 mu eps(u) + lam tr(eps(u)) I).

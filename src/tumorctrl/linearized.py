@@ -216,8 +216,7 @@ class TangentStep:
         rho_new = ops.robin(rho + tau * (co.b1 * xi + co.b2 * rho + co.b3 * zeta + co.b4 * chi2))
         xi_new, rho_new = one_sided(self.traj, self.spec, self.n + 1, xi_new, rho_new)
 
-        gtw = self.spec.grid.sym_grad_weighted_transpose
-        load = gtw @ (co.c1 * xi_new + co.c2 * zeta).reshape(3, -1).ravel()
+        load = self.spec.grid.sym_grad_adjoint(co.c1 * xi_new + co.c2 * zeta)
         M_int = u_operator(self.spec, co.mu_b, co.lam_b, tau)
         omega_new, eps_omega, _ = ops.displace(omega, load, M_int, "omega-step")
 

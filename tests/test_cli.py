@@ -184,6 +184,50 @@ def test_invalid_optimizer_limits_are_config_errors(tmp_path, capsys, key, value
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("grid", "nx", "1", "[grid] nx must be at least 2, got 1"),
+    ("grid", "lx", "0", "[grid] lx must be positive, got 0.0"),
+    ("time", "t_final", "0", "[time] t_final must be positive, got 0.0"),
+    ("time", "steps", "0", "[time] steps must be at least 1, got 0"),
+    ("model", "n", "0", "[model] n must be positive, got 0.0"),
+    ("model", "k2_const", "-1", "[model] k2_const must be positive, got -1.0"),
+    ("optimizer", "step0", "0", "[optimizer] step0 must be positive, got 0.0"),
+    ("optimizer", "tol", "-1e-6", "[optimizer] tol must be non-negative, got -1e-06"),
+    ("optimizer", "max_iters", "0", "[optimizer] max_iters must be at least 1, got 0"),
+    ("output", "stride", "0", "[output] stride must be at least 1, got 0"),
+    ("run", "seed", "-1", "[run] seed must be at least 0, got -1"),
+])
+def test_out_of_range_value_is_named_config_error(tmp_path, capsys, section, key, value, message):
+    cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n")
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def unreadable_config(tmp_path, kind):
+    """A config path that load_config must reject: a bad seed, a directory, non-UTF-8 bytes."""
+    if kind == "negative-seed":
+        return write_cfg(tmp_path, "[run]\nseed = -1\n")
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[run]\nseed = 3 ; \xff\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["negative-seed", "directory", "non-utf8"])
+@pytest.mark.parametrize("command", sorted(cli._DISPATCH))
+def test_unusable_config_exits_2_on_every_command(tmp_path, capsys, command, kind):
+    cfg = unreadable_config(tmp_path, kind)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("config error: ")
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_separation_prints_closed_form_radii(tmp_path, capsys):
     text = """
 [grid]

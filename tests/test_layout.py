@@ -2,9 +2,10 @@
 every factorization (sparse LU, eigen- or singular value decomposition)
 stays in linalg, only snapshots picks a snapshot file's reader or writer,
 only the command line writes a run directory, only linearized assembles
-the linearization coefficients and writes the tangent's substeps, and the
-command line loads none of scipy.sparse.linalg, scipy.linalg,
-scipy.special and scipy.integrate, at import or in a run."""
+the linearization coefficients and writes the tangent's substeps, no
+handler catches every exception, and the command line loads none of
+scipy.sparse.linalg, scipy.linalg, scipy.special and scipy.integrate, at
+import or in a run."""
 import ast
 import os
 import subprocess
@@ -27,6 +28,20 @@ def test_no_private_cross_module_imports():
                 if internal and alias.name.startswith("_")
             ]
     assert not offenders, "private names imported across modules:\n" + "\n".join(offenders)
+
+
+def test_no_broad_except():
+    # a handler that catches every exception turns a bug into a wrong exit code
+    offenders = []
+    for path in sorted(Path(tumorctrl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(c is None or (isinstance(c, ast.Name) and c.id in ("Exception", "BaseException"))
+                   for c in caught):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, "broad except in:\n" + "\n".join(offenders)
 
 
 def names_outside(owners, names):
