@@ -199,16 +199,16 @@ def cmd_gradient_check(cfg, args):
 
     print(f"tolerance anchor: {_GRAD_TOL:.1e} at {_REF_NX}x{_REF_NX}, "
           f"scaled by the coarsening factor")
-    tt = taylor_test(cfg.control0, draw(cfg.n_steps, cfg.spec.grid), cfg.spec)
+    tt = taylor_test(cfg.control0, draw(cfg.control0.n_steps, cfg.spec.grid), cfg.spec)
     print(f"taylor slope {tt['slope']:.4f} (remainders "
           + ", ".join(f"{r:.3e}" for r in tt["remainder"]) + ")")
 
     ok = True
     for m in range(1 + args.refine):
-        spec, targets, control0, n_steps = cfg.at_scale(m) if m else (
-            cfg.spec, cfg.targets, cfg.control0, cfg.n_steps)
+        level = load_config(args.config, refine=m) if m else cfg
+        spec, targets, control0 = level.spec, level.targets, level.control0
         traj = solve_state(control0, spec) if m else tt["base"]
-        grid = spec.grid
+        grid, n_steps = spec.grid, control0.n_steps
         adj = solve_adjoint(traj, cfg.weights, targets, spec)
         grad = reduced_gradient(traj, adj, cfg.weights, spec)
         errs = []
@@ -255,7 +255,7 @@ def cmd_optimize(cfg, args):
         step0=cfg.step0,
     )
     write_history(out / "history.csv", res.history)
-    for n in range(0, cfg.n_steps + 1, cfg.stride):
+    for n in range(0, cfg.control0.n_steps + 1, cfg.stride):
         named = (("chi1", res.control.chi1[n]), ("chi2", res.control.chi2[n]))
         write_snapshots(out, cfg.spec.grid, n, float(res.trajectory.times[n]), named, cfg.fmt)
 

@@ -22,15 +22,15 @@ replace the corresponding kinetic maps, and with them their ranges, by
 constants, which is what makes a homogeneous run genuinely reducible to
 pointwise equations.
 
-A parsed RunConfig can re-assemble itself at a 2^m refined space-time
-resolution (`at_scale`), used by the refinement studies; snapshot-file
-fields cannot be rescaled and reject that path.
+load_config(path, refine=m) assembles the same run at 2^m times the
+configured cell and step counts, which is what the refinement studies
+read; a snapshot-file field holds one resolution only, so a refined load
+of it is a config error.
 """
 import configparser
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -172,25 +172,11 @@ class _Section:
 
 @dataclass
 class RunConfig:
-    """Everything a subcommand needs, assembled from one INI file.
+    """Everything a subcommand reads, assembled from one INI file."""
 
-    The primitive configuration (family parameters, field expressions)
-    is kept alongside the assembled objects so that refinement studies
-    can rebuild the same problem at doubled resolution.
-    """
-
-    nx: int
-    ny: int
-    lx: float
-    ly: float
-    T: float
-    n_steps: int
-    family_kw: dict
-    const_kinetics: dict
-    field_expr: dict
-    target_expr: dict
-    ctl_expr: tuple
-    base: Path
+    spec: ModelSpec
+    targets: Targets
+    control0: Control
     weights: CostWeights
     admissible: AdmissibleSet
     step0: float
@@ -200,55 +186,6 @@ class RunConfig:
     stride: int
     fmt: str
     seed: int
-    spec: Optional[ModelSpec] = None
-    targets: Optional[Targets] = None
-    control0: Optional[Control] = None
-
-    def at_scale(self, m):
-        """Rebuild spec, targets, and initial dose 2^m-refined in (tau, h)."""
-        if m > 0:
-            for key, expr in list(self.field_expr.items()) + list(self.target_expr.items()):
-                if str(expr).strip().startswith("file:"):
-                    raise ConfigError(
-                        f"field '{key}' comes from a snapshot file and cannot be "
-                        "re-evaluated at a refined resolution"
-                    )
-        grid = Grid.unit(self.nx << m, self.ny << m, self.lx, self.ly)
-        family = DefaultLogisticFamily(T=self.T, **self.family_kw)
-        spec = family.build(grid)
-
-        overrides = {}
-        for key, expr in self.field_expr.items():
-            arr = parse_expression(expr, grid, self.base)
-            if key == "sigma_boundary":
-                overrides["sigma_gamma"] = arr
-            elif key in ("force_x", "force_y"):
-                f = overrides.get("f", spec.f.copy())
-                f[0 if key == "force_x" else 1] = arr
-                overrides["f"] = f
-            else:
-                overrides[key] = arr
-        for key, value in self.const_kinetics.items():
-            overrides[_CONST_KINETICS[key]] = constant_map(value)
-        if overrides:
-            spec = replace(spec, **overrides)
-
-        targets = replace(
-            Targets.resting(spec),
-            **{k: parse_expression(expr, grid, self.base) for k, expr in self.target_expr.items()},
-        )
-        _validated(targets.validate, grid)
-
-        n_steps = self.n_steps << m
-        shape = (n_steps + 1,) + grid.shape
-        # doses are constant in time: read-only views of one level each
-        e1, e2 = self.ctl_expr
-        control0 = Control(
-            np.broadcast_to(parse_expression(e1, grid, self.base), shape),
-            np.broadcast_to(parse_expression(e2, grid, self.base), shape),
-        )
-        _validated(control0.validate)
-        return spec, targets, control0, n_steps
 
 
 def _validated(fn, *args):
@@ -258,8 +195,8 @@ def _validated(fn, *args):
         raise ConfigError(str(e)) from e
 
 
-def load_config(path) -> RunConfig:
-    """Parse, validate, and assemble a run configuration file."""
+def load_config(path, refine=0) -> RunConfig:
+    """Parse, validate, and assemble a run configuration file, 2^refine-refined in (tau, h)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -326,28 +263,50 @@ def load_config(path) -> RunConfig:
     if fmt not in ("csv", "bin"):
         raise ConfigError(f"[output] format must be csv or bin, got {fmt!r}")
 
-    cfg = RunConfig(
-        nx=nx,
-        ny=ny,
-        lx=lx,
-        ly=ly,
-        T=T,
-        n_steps=n_steps,
-        family_kw=family_kw,
-        const_kinetics=const_kinetics,
-        field_expr=field_expr,
-        target_expr=target_expr,
-        ctl_expr=(s_ctl.get_str("chi1", "zero"), s_ctl.get_str("chi2", "zero")),
-        base=path.parent,
-        weights=weights,
-        admissible=admissible,
-        step0=step0,
-        tol=tol,
-        max_iters=max_iters,
-        outdir=Path(s_out.get_str("directory", "out")),
-        stride=s_out.get_int("stride", 1, least=1),
-        fmt=fmt,
-        seed=s_run.get_int("seed", 0, least=0),
+    outdir = Path(s_out.get_str("directory", "out"))
+    stride = s_out.get_int("stride", 1, least=1)
+    seed = s_run.get_int("seed", 0, least=0)
+
+    if refine:
+        for key, expr in {**field_expr, **target_expr}.items():
+            if expr.strip().startswith("file:"):
+                raise ConfigError(
+                    f"field '{key}' comes from a snapshot file and cannot be "
+                    "re-evaluated at a refined resolution"
+                )
+    grid = Grid.unit(nx << refine, ny << refine, lx, ly)
+    for key, h in (("lx", grid.hx), ("ly", grid.hy)):
+        if not (0 < h * h < math.inf and 1 / (h * h) < math.inf):
+            raise ConfigError(f"[grid] {key} gives cell size {h:.3g}, whose square over- or underflows")
+    spec = DefaultLogisticFamily(T=T, **family_kw).build(grid)
+
+    def field(expr):
+        return parse_expression(expr, grid, path.parent)
+
+    overrides = {}
+    for key, expr in field_expr.items():
+        if key == "sigma_boundary":
+            overrides["sigma_gamma"] = field(expr)
+        elif key in ("force_x", "force_y"):
+            f = overrides.get("f", spec.f.copy())
+            f[0 if key == "force_x" else 1] = field(expr)
+            overrides["f"] = f
+        else:
+            overrides[key] = field(expr)
+    for key, value in const_kinetics.items():
+        overrides[_CONST_KINETICS[key]] = constant_map(value)
+    if overrides:
+        spec = replace(spec, **overrides)
+
+    targets = replace(Targets.resting(spec), **{k: field(e) for k, e in target_expr.items()})
+    _validated(targets.validate, grid)
+
+    # doses are constant in time: read-only views of one level each
+    shape = ((n_steps << refine) + 1,) + grid.shape
+    control0 = Control(
+        *(np.broadcast_to(field(s_ctl.get_str(k, "zero")), shape) for k in ("chi1", "chi2"))
     )
-    cfg.spec, cfg.targets, cfg.control0, _ = cfg.at_scale(0)
-    return cfg
+    _validated(control0.validate)
+    return RunConfig(spec=spec, targets=targets, control0=control0, weights=weights,
+                     admissible=admissible, step0=step0, tol=tol, max_iters=max_iters,
+                     outdir=outdir, stride=stride, fmt=fmt, seed=seed)

@@ -216,7 +216,12 @@ def elastic_solver(grid, mu, lam):
             border = np.concatenate([ay[f][:, -1] * ax[f][:, -1] * (f == cy) for f in (0, 1)])
             cap = np.block([[cap, border[:, None]], [border[None, :], np.zeros((1, 1))]])
             idx.append([n_r + n_c + cy])
-        blocks.append((np.concatenate(idx), np.linalg.inv(cap)))
+        try:
+            cap_inv = np.linalg.inv(cap)
+        except np.linalg.LinAlgError as e:
+            raise SolverError(f"elastic_solver set-up: capacitance matrix of parity class "
+                              f"({cy}, {cx}) is singular (mu {mu:.3g}, lam {lam:.3g})") from e
+        blocks.append((np.concatenate(idx), cap_inv))
 
     # one batch over the components, padded by identity rows on a zero entry
     size = max(len(i) for i, _ in blocks)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tumorctrl import adjoint, cli, model, state
+from tumorctrl import adjoint, cli, config, model, state
 from tumorctrl.cli import main
 from tumorctrl.config import load_config, parse_expression
 from tumorctrl.errors import ConfigError, DomainError, SeparationError, SolverError
@@ -206,9 +206,14 @@ def test_out_of_range_value_is_named_config_error(tmp_path, capsys, section, key
 
 
 def unreadable_config(tmp_path, kind):
-    """A config path that load_config must reject: a bad seed, a directory, non-UTF-8 bytes."""
+    """A config path that load_config must reject: a bad seed, a directory, non-UTF-8 bytes,
+    a cell size whose square overflows or underflows."""
     if kind == "negative-seed":
         return write_cfg(tmp_path, "[run]\nseed = -1\n")
+    if kind == "huge-lx":
+        return write_cfg(tmp_path, "[grid]\nlx = 1e200\n")
+    if kind == "tiny-ly":
+        return write_cfg(tmp_path, "[grid]\nly = 1e-200\n")
     if kind == "directory":
         return str(tmp_path)
     path = tmp_path / "latin1.ini"
@@ -216,7 +221,7 @@ def unreadable_config(tmp_path, kind):
     return str(path)
 
 
-@pytest.mark.parametrize("kind", ["negative-seed", "directory", "non-utf8"])
+@pytest.mark.parametrize("kind", ["negative-seed", "directory", "non-utf8", "huge-lx", "tiny-ly"])
 @pytest.mark.parametrize("command", sorted(cli._DISPATCH))
 def test_unusable_config_exits_2_on_every_command(tmp_path, capsys, command, kind):
     cfg = unreadable_config(tmp_path, kind)
@@ -226,6 +231,59 @@ def test_unusable_config_exits_2_on_every_command(tmp_path, capsys, command, kin
     assert captured.err.startswith("config error: ")
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists()
+
+
+SWEEP_BASE = {"grid": {"nx": "6", "ny": "6"}, "time": {"steps": "4"}, "optimizer": {"max_iters": "2"}}
+SWEEP_FLOATS = ("0", "-1", "1e200", "1e-200", "1e10", "-1e10")
+SWEEP_INT_KEYS = {"nx", "ny", "steps", "max_iters", "stride", "seed"}
+
+
+def schema_sweep():
+    """One (section, key, value) per config of the sweep: each schema key set alone to an
+    extreme, zero or negative value of its kind, on top of SWEEP_BASE."""
+    field_keys = set(config._FIELD_KEYS) | set(config._TARGET_KEYS) | config._SCHEMA["controls"]
+    for section, keys in sorted(config._SCHEMA.items()):
+        for key in sorted(keys - {"directory", "format", "k2_variable"}):
+            if key in SWEEP_INT_KEYS:
+                values = ("0", "-1", "1", "2")
+            elif key in field_keys:
+                values = tuple(f"const:{v}" for v in SWEEP_FLOATS)
+            else:
+                values = SWEEP_FLOATS
+            yield from ((section, key, v) for v in values)
+
+
+def test_schema_sweep_exits_with_a_readme_code(tmp_path, capsys):
+    # separation assembles the run and marches it; run through all five
+    # commands, this sweep escapes on no config that separation passes
+    escapes = []
+    for section, key, value in schema_sweep():
+        sections = {name: dict(keys) for name, keys in SWEEP_BASE.items()}
+        sections.setdefault(section, {})[key] = value
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                       for name, keys in sections.items())
+        try:
+            rc = main(["separation", "--config", write_cfg(tmp_path, text)])
+        except Exception as e:  # anything that escapes main is a finding
+            rc = f"{type(e).__name__}: {e}"
+        capsys.readouterr()
+        if rc not in (0, 1, 2, 3):
+            escapes.append(f"[{section}] {key} = {value}: {rc}")
+    assert not escapes, "\n".join(escapes)
+
+
+def test_snapshot_field_cannot_be_refined(tmp_path, capsys):
+    write_snapshot_csv(tmp_path / "phi0.csv", Grid.unit(6, 6), np.full((7, 7), 0.1))
+    text = "[grid]\nnx = 6\nny = 6\n[time]\nsteps = 4\n[model]\nphi0 = file:phi0.csv\n"
+    cfg = write_cfg(tmp_path, text)
+    rc = main(["gradient-check", "--config", cfg, "--refine", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: field 'phi0' comes from a snapshot file and cannot be "
+        "re-evaluated at a refined resolution\n"
+    )
+    assert main(["gradient-check", "--config", cfg, "--refine", "0"]) == 0
+    assert "level 0: 6x6, 4 steps" in capsys.readouterr().out
 
 
 def test_separation_prints_closed_form_radii(tmp_path, capsys):

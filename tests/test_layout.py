@@ -3,16 +3,19 @@ every factorization (sparse LU, eigen- or singular value decomposition)
 stays in linalg, only snapshots picks a snapshot file's reader or writer,
 only the command line writes a run directory, only linearized assembles
 the linearization coefficients and writes the tangent's substeps, no
-handler catches every exception, and the command line loads none of
+handler catches every exception, the command line reads every field of
+a run configuration, and the command line loads none of
 scipy.sparse.linalg, scipy.linalg, scipy.special and scipy.integrate, at
 import or in a run."""
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import tumorctrl
+from tumorctrl.config import RunConfig
 
 
 def test_no_private_cross_module_imports():
@@ -89,6 +92,15 @@ def test_only_linearized_writes_the_tangent_substeps():
             if isinstance(node, ast.Constant) and node.value in labels:
                 found.append(f"{path.name}:{node.lineno}: {node.value}")
     assert [f.split(":")[0] for f in found] == ["linearized.py"] * 2, "\n".join(found)
+
+
+def test_every_run_config_field_is_read_by_the_command_line():
+    # a field no subcommand reads is a second copy of the run, kept for nothing
+    path = Path(tumorctrl.__file__).parent / "cli.py"
+    read = {node.attr for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute)}
+    unread = [f.name for f in dataclasses.fields(RunConfig) if f.name not in read]
+    assert not unread, "RunConfig fields no subcommand reads: " + ", ".join(unread)
 
 
 def test_cli_import_loads_no_sparse_linalg(tmp_path):
