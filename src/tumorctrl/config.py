@@ -107,6 +107,8 @@ def parse_expression(text, grid, base=None):
                 f"snapshot {path} has cell sizes {snap.hx:.6g} x {snap.hy:.6g}, "
                 f"grid wants {grid.hx:.6g} x {grid.hy:.6g}"
             )
+        if not np.isfinite(values).all():
+            raise ConfigError(f"snapshot {path} holds non-finite values")
         return values
     raise ConfigError(f"unknown field expression kind {head!r} in {text!r}")
 
@@ -243,6 +245,7 @@ def load_config(path, refine=0) -> RunConfig:
 
     field_expr = {k: s_model.data[k] for k in _FIELD_KEYS if k in s_model.data}
     target_expr = {k: s_cost.data[k] for k in _TARGET_KEYS if k in s_cost.data}
+    dose_expr = {k: s_ctl.get_str(k, "zero") for k in ("chi1", "chi2")}
 
     alphas = [
         s_cost.get_float(f"alpha{i}", d)
@@ -268,7 +271,7 @@ def load_config(path, refine=0) -> RunConfig:
     seed = s_run.get_int("seed", 0, least=0)
 
     if refine:
-        for key, expr in {**field_expr, **target_expr}.items():
+        for key, expr in {**field_expr, **target_expr, **dose_expr}.items():
             if expr.strip().startswith("file:"):
                 raise ConfigError(
                     f"field '{key}' comes from a snapshot file and cannot be "
@@ -303,9 +306,7 @@ def load_config(path, refine=0) -> RunConfig:
 
     # doses are constant in time: read-only views of one level each
     shape = ((n_steps << refine) + 1,) + grid.shape
-    control0 = Control(
-        *(np.broadcast_to(field(s_ctl.get_str(k, "zero")), shape) for k in ("chi1", "chi2"))
-    )
+    control0 = Control(*(np.broadcast_to(field(e), shape) for e in dose_expr.values()))
     _validated(control0.validate)
     return RunConfig(spec=spec, targets=targets, control0=control0, weights=weights,
                      admissible=admissible, step0=step0, tol=tol, max_iters=max_iters,

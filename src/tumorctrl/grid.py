@@ -190,11 +190,6 @@ class Grid:
         return np.add.outer(y.coeff, x.coeff).ravel()
 
     @cached_property
-    def robin_linear_matrix(self):
-        y, x = self.axes
-        return self._kron_sum(y.robin, x.robin)
-
-    @cached_property
     def wl_neumann(self):
         """Quadrature-weighted Neumann Laplacian; symmetric by construction."""
         return (sps.diags(self.quad_weights) @ self.lap_neumann_matrix).tocsr()
@@ -242,11 +237,6 @@ class Grid:
     def laplacian_neumann(self, f):
         f = self._check(f)
         return (self.lap_neumann_matrix @ f.ravel()).reshape(self.shape)
-
-    def robin_linear(self, f):
-        """Linear part of the Robin Laplacian (datum-independent)."""
-        f = self._check(f)
-        return (self.robin_linear_matrix @ f.ravel()).reshape(self.shape)
 
     def robin_source(self, datum):
         """Affine contribution of the boundary datum to the Robin Laplacian."""
@@ -315,7 +305,7 @@ class Grid:
         shape = (3,) + self.shape
         return lambda x: gtw_int @ stress_from_strain(mu, lam, (g_int @ x).reshape(shape)).ravel()
 
-    # -- quadrature and norms ------------------------------------------------
+    # -- quadrature ----------------------------------------------------------
 
     def integrate(self, f):
         f = self._check(f)
@@ -333,14 +323,6 @@ class Grid:
         a = self._check(a)
         b = self._check(b)
         return float(self.quad_weights @ (a.ravel() * b.ravel()))
-
-    def norm_l2(self, f):
-        return float(np.sqrt(max(self.inner(f, f), 0.0)))
-
-    def norm_h1_vec(self, u):
-        u = self._check(u, comps=2)
-        gx, gy = self.grad(u)
-        return float(np.sqrt(self.integrate_levels(u * u + gx * gx + gy * gy).sum()))
 
 
 def stress_from_strain(mu, lam, eps):

@@ -251,7 +251,8 @@ def cg_solve(A, b, x0=None, label="cg", precond=None):
     """Solve A x = b for a symmetric positive definite operator A.
 
     Converges when ||r|| / ||b|| <= CG_RTOL and gives up with a SolverError
-    after ceil(10 * sqrt(len(b))) iterations.
+    after ceil(10 * sqrt(len(b))) iterations, or at once when ||b|| is not
+    finite, which no residual test could tell from convergence.
 
     Parameters
     ----------
@@ -267,6 +268,8 @@ def cg_solve(A, b, x0=None, label="cg", precond=None):
     """
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
+    if not np.isfinite(bnorm):
+        raise SolverError(f"{label}: right-hand side norm is {bnorm}")
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     maxiter = int(math.ceil(10.0 * math.sqrt(b.size)))

@@ -98,18 +98,6 @@ def write_manifest(path, entries):
             fh.write(f"{key} = {entries[key]}\n")
 
 
-def read_manifest(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
-
-
 HISTORY_HEADER = "iteration,cost,stationarity,step,ball_active"
 
 

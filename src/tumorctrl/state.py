@@ -125,6 +125,11 @@ class Diagnostics:
             return 0.0
         return max(0.0, self.z_window[0] - float(self.lo[2]), float(self.hi[2]) - self.z_window[1])
 
+    @property
+    def contained(self):
+        """Whether the damage range stayed in its certified window, up to rounding."""
+        return self.z_excess <= 1e-12
+
     def summary(self):
         return {
             "phi_clamp_max": f"{self.phi_clamp.max():.6e}",

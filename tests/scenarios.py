@@ -1,7 +1,7 @@
-"""Ready-made scenario bundles shared by the tests and the command line.
+"""Test-only scenarios, grid norms and readers.
 
-Each builder returns a Scenario holding the model, a control and the step
-count.  The three families serve different purposes:
+Each scenario builder returns a Scenario holding the model, a control and
+the step count.  The families serve different purposes:
 
 * the smooth scenario exercises every term with gentle data, so that
   derivative and duality studies run in their asymptotic regime;
@@ -10,15 +10,22 @@ count.  The three families serve different purposes:
   exact scalar recursion;
 * the reduction scenario balances the lactate production against its
   consumption so the whole system collapses to a pointwise ODE, giving an
-  independent integrator something exact to compare with.
+  independent integrator something exact to compare with;
+* the synthetic inverse pair builds tracking targets from a run under a
+  known dose, so an optimizer has something to recover.
+
+The grid helpers below are references the tests measure the solvers
+against; no solver path applies them.
 """
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sps
 
-from .grid import Grid
-from .model import DefaultLogisticFamily, constant_map
-from .state import Control
+from tumorctrl.adjoint import CostWeights, Targets
+from tumorctrl.grid import Grid
+from tumorctrl.model import DefaultLogisticFamily, constant_map
+from tumorctrl.state import Control, solve_state
 
 
 @dataclass
@@ -95,22 +102,6 @@ def ode_scenario(n_steps=50, nx=6) -> Scenario:
     return Scenario(spec, control, n_steps, extras=extras)
 
 
-def ode_rhs(spec, sigma_level, chi1):
-    """Pointwise right-hand sides of the reduced system (phi, z)."""
-    from . import model as mdl
-
-    iota = float(spec.iota.flat[0])
-
-    def rhs(t, yv):
-        ph, zz = yv
-        U = mdl.eval_U(ph, sigma_level, zz, chi1, spec)
-        psi = spec.psi.value(np.array([ph]), np.zeros((3, 1)))[0]
-        dz = iota - psi - float(mdl.beta(zz, spec)) - float(mdl.pi(zz, spec))
-        return [float(U), dz]
-
-    return rhs
-
-
 def synthetic_inverse_pair(nx=10, n_steps=12, T=0.5):
     """Recovery problem with a known generating dose.
 
@@ -119,9 +110,6 @@ def synthetic_inverse_pair(nx=10, n_steps=12, T=0.5):
     optimizer started from zero dose should drive the cost well below
     its starting value; the reference dose is returned for comparison.
     """
-    from .adjoint import CostWeights, Targets
-    from .state import solve_state
-
     grid = Grid.unit(nx, nx)
     spec = DefaultLogisticFamily(T=T).build(grid)
     x, y = grid.meshes
@@ -141,3 +129,36 @@ def synthetic_inverse_pair(nx=10, n_steps=12, T=0.5):
         z_track=ref_traj.z[-1].copy(),
     )
     return Scenario(spec, reference, n_steps, extras={"weights": weights, "targets": targets})
+
+
+def robin_linear_matrix(g):
+    """Assembled linear part of g's Robin Laplacian, the Kronecker sum of its axes' factors."""
+    y, x = g.axes
+    return (sps.kron(sps.eye(g.ny + 1), x.robin) + sps.kron(y.robin, sps.eye(g.nx + 1))).tocsr()
+
+
+def robin_linear(g, f):
+    """Linear part of the Robin Laplacian (datum-independent) applied to f."""
+    return (robin_linear_matrix(g) @ np.asarray(f, dtype=float).ravel()).reshape(g.shape)
+
+
+def norm_l2(g, f):
+    return float(np.sqrt(max(g.inner(f, f), 0.0)))
+
+
+def norm_h1_vec(g, u):
+    gx, gy = g.grad(u)
+    return float(np.sqrt(g.integrate_levels(u * u + gx * gx + gy * gy).sum()))
+
+
+def read_manifest(path):
+    """The key = value pairs of a run.manifest, skipping blanks and # comments."""
+    out = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition("=")
+            out[key.strip()] = value.strip()
+    return out

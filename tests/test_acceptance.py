@@ -17,7 +17,7 @@ from tumorctrl.adjoint import (
     eval_cost,
     solve_adjoint,
 )
-from tumorctrl.cli import main
+from tumorctrl.cli import main, ode_rhs
 from tumorctrl.control import (
     AdmissibleSet,
     control_inner,
@@ -28,14 +28,14 @@ from tumorctrl.control import (
 )
 from tumorctrl.grid import Grid, stress_from_strain
 from tumorctrl.linearized import assemble_coefficients, solve_linearized, taylor_test
-from tumorctrl.presets import (
+from tumorctrl.state import Control, solve_state
+
+from scenarios import (
     bounds_stress_scenario,
-    ode_rhs,
     ode_scenario,
     smooth_scenario,
     synthetic_inverse_pair,
 )
-from tumorctrl.state import Control, solve_state
 
 
 @pytest.fixture

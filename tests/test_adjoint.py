@@ -21,8 +21,9 @@ from tumorctrl.adjoint import (
 from tumorctrl.control import reduced_gradient
 from tumorctrl.grid import Grid, tensor_dot, trapezoid_weights
 from tumorctrl.linearized import solve_linearized
-from tumorctrl.presets import smooth_scenario
 from tumorctrl.state import Control, StateTrajectory, solve_state
+
+from scenarios import smooth_scenario
 
 
 def constant_trajectory(grid, K=4, T=0.4, phi=0.3, sigma=0.6, z=0.5, shear=0.2, c1=0.7, c2=0.4):

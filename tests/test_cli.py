@@ -12,7 +12,9 @@ from tumorctrl.cli import main
 from tumorctrl.config import load_config, parse_expression
 from tumorctrl.errors import ConfigError, DomainError, SeparationError, SolverError
 from tumorctrl.grid import Grid
-from tumorctrl.snapshots import read_manifest, read_snapshot, read_snapshot_csv, write_snapshot_csv
+from tumorctrl.snapshots import read_snapshot, read_snapshot_csv, write_snapshot_csv
+
+from scenarios import read_manifest
 
 ZERO_SCENARIO = """
 [grid]
@@ -138,6 +140,19 @@ def test_snapshot_cell_size_must_match_the_grid(tmp_path, capsys, side, code):
     assert rc == code
     if code == 2:
         assert "cell sizes 0.375 x 0.375, grid wants 0.125 x 0.125" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["force_x", "iota", "phi0", "sigma_boundary"])
+def test_non_finite_snapshot_is_config_error(tmp_path, capsys, key, bad):
+    write_snapshot_csv(tmp_path / "bad.csv", Grid.unit(6, 6), np.full((7, 7), float(bad)))
+    text = f"[grid]\nnx = 6\nny = 6\n[time]\nsteps = 4\n[model]\n{key} = file:bad.csv\n"
+    cfg = write_cfg(tmp_path, text)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: snapshot {tmp_path / 'bad.csv'} holds non-finite values\n"
+    )
 
 
 def test_help_describes_every_subcommand(capsys):
@@ -273,17 +288,18 @@ def test_schema_sweep_exits_with_a_readme_code(tmp_path, capsys):
 
 
 def test_snapshot_field_cannot_be_refined(tmp_path, capsys):
-    write_snapshot_csv(tmp_path / "phi0.csv", Grid.unit(6, 6), np.full((7, 7), 0.1))
-    text = "[grid]\nnx = 6\nny = 6\n[time]\nsteps = 4\n[model]\nphi0 = file:phi0.csv\n"
-    cfg = write_cfg(tmp_path, text)
-    rc = main(["gradient-check", "--config", cfg, "--refine", "1"])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "config error: field 'phi0' comes from a snapshot file and cannot be "
-        "re-evaluated at a refined resolution\n"
-    )
-    assert main(["gradient-check", "--config", cfg, "--refine", "0"]) == 0
-    assert "level 0: 6x6, 4 steps" in capsys.readouterr().out
+    for section, key in (("model", "phi0"), ("controls", "chi1")):
+        write_snapshot_csv(tmp_path / f"{key}.csv", Grid.unit(6, 6), np.full((7, 7), 0.1))
+        text = f"[grid]\nnx = 6\nny = 6\n[time]\nsteps = 4\n[{section}]\n{key} = file:{key}.csv\n"
+        cfg = write_cfg(tmp_path, text)
+        rc = main(["gradient-check", "--config", cfg, "--refine", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: field '{key}' comes from a snapshot file and cannot be "
+            "re-evaluated at a refined resolution\n"
+        )
+        assert main(["gradient-check", "--config", cfg, "--refine", "0"]) == 0
+        assert "level 0: 6x6, 4 steps" in capsys.readouterr().out
 
 
 def test_separation_prints_closed_form_radii(tmp_path, capsys):

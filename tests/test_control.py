@@ -19,9 +19,10 @@ from tumorctrl.control import (
 )
 from tumorctrl.grid import Grid
 from tumorctrl.linearized import solve_linearized
-from tumorctrl.presets import bounds_stress_scenario, smooth_scenario, synthetic_inverse_pair
 from tumorctrl.snapshots import HISTORY_HEADER, write_history
 from tumorctrl.state import Control, solve_state
+
+from scenarios import bounds_stress_scenario, smooth_scenario, synthetic_inverse_pair
 
 
 def full_weights():

@@ -23,6 +23,8 @@ from tumorctrl.linearized import (
 from tumorctrl.model import DefaultLogisticFamily
 from tumorctrl.state import Control, solve_state
 
+from scenarios import norm_l2
+
 RTOL = 1e-13
 K = 8
 
@@ -218,7 +220,7 @@ def test_trajectory_distance_matches_level_loop(case, with_lin):
         dz = pert.z[n] - base.z[n] - s * lin.zeta[n]
         du = pert.u[n] - base.u[n] - s * lin.omega[n]
         h1 = np.sqrt(h1_sq(g, du[0]) + h1_sq(g, du[1]))
-        want = max(want, g.norm_l2(dphi) + g.norm_l2(dsig) + g.norm_l2(dz) + h1)
+        want = max(want, norm_l2(g, dphi) + norm_l2(g, dsig) + norm_l2(g, dz) + h1)
     if with_lin:
         got = trajectory_distance(base, pert, lin=lin, scale=s)
     else:

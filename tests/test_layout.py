@@ -4,7 +4,8 @@ stays in linalg, only snapshots picks a snapshot file's reader or writer,
 only the command line writes a run directory, only linearized assembles
 the linearization coefficients and writes the tangent's substeps, no
 handler catches every exception, the command line reads every field of
-a run configuration, and the command line loads none of
+a run configuration, every definition in the package is named by the
+package or the benchmark, and the command line loads none of
 scipy.sparse.linalg, scipy.linalg, scipy.special and scipy.integrate, at
 import or in a run."""
 import ast
@@ -101,6 +102,28 @@ def test_every_run_config_field_is_read_by_the_command_line():
             if isinstance(node, ast.Attribute)}
     unread = [f.name for f in dataclasses.fields(RunConfig) if f.name not in read]
     assert not unread, "RunConfig fields no subcommand reads: " + ", ".join(unread)
+
+
+def test_every_definition_is_named_by_the_program():
+    # a definition only the tests reach belongs beside the tests, in
+    # tests/scenarios.py; the __init__ re-exports name the public API
+    package = sorted(Path(tumorctrl.__file__).parent.glob("*.py"))
+    bench = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    named, defined = set(), []
+    for path in package + bench:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update(alias.name.rpartition(".")[2] for alias in node.names)
+            elif path in package and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((f"{path.name}:{node.lineno}", node.name))
+    unused = [f"{where}: {name}" for where, name in defined
+              if name not in named and not (name.startswith("__") and name.endswith("__"))]
+    assert not unused, "definitions no package module or benchmark names:\n" + "\n".join(unused)
 
 
 def test_cli_import_loads_no_sparse_linalg(tmp_path):

@@ -1,12 +1,16 @@
 """Kernel tests: the separable diffusion solve and the exact displacement
-solve against reference sparse solves, and CG's cold start."""
+solve against reference sparse solves, and CG's cold start and its
+rejection of a non-finite right-hand side."""
 import numpy as np
 import pytest
 import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
+from tumorctrl.errors import SolverError
 from tumorctrl.grid import Grid
 from tumorctrl.linalg import cg_solve, elastic_solver, separable_solver
+
+from scenarios import robin_linear_matrix
 
 
 @pytest.mark.parametrize(
@@ -45,7 +49,7 @@ def test_elastic_solver_matches_sparse_solve_and_is_symmetric(grid):
 def test_separable_solver_matches_sparse_solve(tau, kind):
     g = Grid(9, 6, 0.11, 0.17)
     y, x = g.axes
-    lap = g.lap_neumann_matrix if kind == "neumann" else g.robin_linear_matrix
+    lap = g.lap_neumann_matrix if kind == "neumann" else robin_linear_matrix(g)
     A = (sps.diags(g.quad_weights) @ (sps.eye(g.n_nodes) - tau * lap)).tocsc()
     solve = separable_solver(((y.weights, getattr(y, kind)), (x.weights, getattr(x, kind))), tau)
     rng = np.random.default_rng(8)
@@ -64,7 +68,7 @@ def test_laplacians_are_kronecker_sums_of_the_axis_factors():
     assert np.array_equal(g.quad_weights, np.kron(y.weights, x.weights))
     coeff = np.kron(y.coeff, np.ones(g.nx + 1)) + np.kron(np.ones(g.ny + 1), x.coeff)
     assert np.array_equal(g.robin_coeff, coeff)
-    for mat, kind in ((g.lap_neumann_matrix, "neumann"), (g.robin_linear_matrix, "robin")):
+    for mat, kind in ((g.lap_neumann_matrix, "neumann"), (robin_linear_matrix(g), "robin")):
         ref = sps.kron(iy, getattr(x, kind)) + sps.kron(getattr(y, kind), ix)
         assert abs(mat - ref).max() == 0.0
 
@@ -83,3 +87,20 @@ def test_cg_cold_start_skips_the_product_with_zero():
     assert iters > 0 and len(calls) == iters
     warm, _ = cg_solve(counted, b, x0=np.zeros_like(b))
     assert np.array_equal(x, warm)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_cg_rejects_a_non_finite_right_hand_side(bad):
+    # inf <= inf would pass the residual test and return zeros as converged
+    g = Grid.unit(6, 6)
+    A = (sps.diags(g.quad_weights) - 0.5 * g.wl_neumann).tocsr()
+    b = np.full(g.n_nodes, bad)
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return A @ v
+
+    with pytest.raises(SolverError, match="u-step: right-hand side norm is"):
+        cg_solve(counted, b, label="u-step")
+    assert not calls

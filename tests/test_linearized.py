@@ -27,10 +27,11 @@ from tumorctrl.linearized import (
     taylor_test,
     trajectory_distance,
 )
-from tumorctrl.presets import bounds_stress_scenario, smooth_scenario
 from tumorctrl.state import (
     Control, solve_state, step_operators, step_phi, step_sigma, step_u, step_z, u_operator,
 )
+
+from scenarios import bounds_stress_scenario, smooth_scenario
 
 
 @pytest.fixture(scope="module", params=["default", "k2-variable"])

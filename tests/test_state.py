@@ -11,8 +11,8 @@ import scipy.sparse as sps
 from tumorctrl.grid import Grid
 from tumorctrl import linalg, linearized, state
 from tumorctrl import model as mdl
-from tumorctrl.presets import bounds_stress_scenario, ode_rhs, ode_scenario, smooth_scenario
 from tumorctrl.adjoint import CostWeights, Targets, solve_adjoint
+from tumorctrl.cli import ode_rhs
 from tumorctrl.errors import SolverError
 from tumorctrl.linearized import solve_linearized
 from tumorctrl.state import (
@@ -27,6 +27,16 @@ from tumorctrl.state import (
     step_u,
     step_z,
     u_operator,
+)
+
+from scenarios import (
+    bounds_stress_scenario,
+    norm_h1_vec,
+    norm_l2,
+    ode_scenario,
+    read_manifest,
+    robin_linear_matrix,
+    smooth_scenario,
 )
 
 
@@ -326,7 +336,7 @@ def test_sweeps_share_one_linearization_and_direct_diffusion_solves(monkeypatch)
     g, tau = sc.spec.grid, traj.tau
     ops = step_operators(sc.spec, tau)
     b = np.random.default_rng(2).standard_normal(g.n_nodes)
-    pairs = ((g.lap_neumann_matrix, ops.solve_neumann), (g.robin_linear_matrix, ops.solve_robin))
+    pairs = ((g.lap_neumann_matrix, ops.solve_neumann), (robin_linear_matrix(g), ops.solve_robin))
     for lap, solve in pairs:
         A = sps.diags(g.quad_weights) @ (sps.eye(g.n_nodes) - tau * lap)
         assert np.linalg.norm(A @ solve(b) - b) <= 1e-12 * np.linalg.norm(b)
@@ -506,10 +516,10 @@ def traj_distance(a, b):
         m = n * stride
         d = max(
             d,
-            g.norm_l2(a.phi[n] - b.phi[m])
-            + g.norm_l2(a.sigma[n] - b.sigma[m])
-            + g.norm_l2(a.z[n] - b.z[m])
-            + g.norm_h1_vec(a.u[n] - b.u[m]),
+            norm_l2(g, a.phi[n] - b.phi[m])
+            + norm_l2(g, a.sigma[n] - b.sigma[m])
+            + norm_l2(g, a.z[n] - b.z[m])
+            + norm_h1_vec(g, a.u[n] - b.u[m]),
         )
     return d
 
@@ -545,10 +555,10 @@ def test_continuous_dependence_ratio_stable():
         for n in range(sc.n_steps + 1):
             dist = max(
                 dist,
-                g.norm_l2(pert.phi[n] - base.phi[n])
-                + g.norm_l2(pert.sigma[n] - base.sigma[n])
-                + g.norm_l2(pert.z[n] - base.z[n])
-                + g.norm_h1_vec(pert.u[n] - base.u[n]),
+                norm_l2(g, pert.phi[n] - base.phi[n])
+                + norm_l2(g, pert.sigma[n] - base.sigma[n])
+                + norm_l2(g, pert.z[n] - base.z[n])
+                + norm_h1_vec(g, pert.u[n] - base.u[n]),
             )
         ratios.append(dist / (delta * dir_norm))
     ratios = np.array(ratios)
@@ -609,7 +619,7 @@ def test_sigma_cap_uses_actual_drive(small_spec):
 def test_save_trajectory_round_trip(tmp_path):
     # a solved trajectory written as a run directory reads back unchanged
     from tumorctrl.cli import run_manifest, snapshot_fields
-    from tumorctrl.snapshots import read_manifest, read_snapshot_csv, write_manifest, write_snapshots
+    from tumorctrl.snapshots import read_snapshot_csv, write_manifest, write_snapshots
 
     sc = smooth_scenario(nx=8, n_steps=4)
     traj = solve_state(sc.control, sc.spec)
