@@ -16,7 +16,6 @@ repeated runs write identical files.
 """
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +38,7 @@ _GRAD_TOL, _REF_NX, _SLOPE_MIN, _IMPROVE_MIN = 1e-2, 48, 1.25, 1.5
 
 
 def _hypothesis_report(cfg):
-    return mdl.check_hypotheses(
-        cfg.spec,
-        rng=np.random.default_rng(cfg.seed),
-        weights=cfg.weights.as_array(),
-        targets=[getattr(cfg.targets, f.name) for f in fields(cfg.targets)],
-    )
+    return mdl.check_hypotheses(cfg.spec, np.random.default_rng(cfg.seed))
 
 
 def _gate_passes(cfg):

@@ -66,7 +66,15 @@ _SCHEMA = {
 
 
 def parse_expression(text, grid, base=None):
-    """Evaluate one spatial-field expression on the grid."""
+    """Evaluate one spatial-field expression on the grid; a non-finite value is a ConfigError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _evaluate(text, grid, base)
+    if not np.isfinite(values).all():
+        raise ConfigError(f"field expression {text!r} evaluates to non-finite values")
+    return values
+
+
+def _evaluate(text, grid, base):
     t = str(text).strip()
     if t == "zero":
         return np.zeros(grid.shape)

@@ -281,19 +281,18 @@ def trajectory_distance(a: StateTrajectory, b, lin: LinearizedTrajectory = None,
     return float((l2(dphi) + l2(dsig) + l2(dz) + h1).max())
 
 
-def taylor_test(control: Control, direction: Control, spec, epsilons=None):
+def taylor_test(control: Control, direction: Control, spec):
     """Remainder ladder for the tangent solver.
 
-    For each epsilon, solves the nonlinear system at the perturbed dose and
-    measures the first-order Taylor remainder against the linearized
-    prediction.  Returns the epsilons, first-order distances, remainders
-    and the fitted remainder slope; slope 2 means the tangent is exact.
+    For each epsilon = 0.01 * 2^-k, k = 0..4, solves the nonlinear system
+    at the perturbed dose and measures the first-order Taylor remainder
+    against the linearized prediction.  Returns the epsilons, first-order
+    distances, remainders and the fitted remainder slope; slope 2 means the
+    tangent is exact.
     """
     if not (np.any(direction.chi1) or np.any(direction.chi2)):
         raise ValueError("perturbation direction must be nonzero")
-    if epsilons is None:
-        epsilons = [0.01 * 0.5**k for k in range(5)]
-    epsilons = np.asarray(list(epsilons), dtype=float)
+    epsilons = 0.01 * 0.5 ** np.arange(5)
     base = solve_state(control, spec)
     lin = solve_linearized(base, direction, spec)
     first, remainder = [], []

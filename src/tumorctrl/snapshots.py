@@ -8,6 +8,7 @@ Writers take (path, grid, values, t) and readers return (grid, values, t).
 Binary snapshots are little-endian: magic ``TCF1``, u32 nx, u32 ny,
 f64 hx, f64 hy, f64 t, then the node values as f64 in row-major order.
 """
+import os
 import struct
 from pathlib import Path
 
@@ -68,9 +69,10 @@ def read_snapshot_bin(path):
             raise ValueError(f"{path}: truncated header")
         nx, ny, hx, hy, t = _HEADER.unpack(header)
         count = (nx + 1) * (ny + 1)
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if data.size != count:
+        # the header's claim is checked against the file before it sizes a read
+        if count * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ValueError(f"{path}: truncated payload")
+        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
     grid = Grid(nx, ny, hx, hy)
     return grid, data.reshape(grid.shape).copy(), t
 

@@ -59,14 +59,7 @@ def full_weights():
 
 def test_hypothesis_gate(announce):
     spec = mdl.DefaultLogisticFamily().build(Grid.unit(48, 48))
-    tg = Targets.resting(spec)
-    report = mdl.check_hypotheses(
-        spec,
-        sample_budget=10_000,
-        rng=np.random.default_rng(0),
-        weights=CostWeights().as_array(),
-        targets=[tg.phi_track, tg.phi_final, tg.sigma_track, tg.sigma_final, tg.z_track],
-    )
+    report = mdl.check_hypotheses(spec, rng=np.random.default_rng(0))
     ok = report.ok and report.elapsed < 5.0
     announce(
         1,

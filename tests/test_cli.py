@@ -1,6 +1,7 @@
 """End-to-end command line tests: exit codes, diagnostics, determinism."""
 import math
 import re
+import struct
 import sys
 from dataclasses import replace
 
@@ -132,6 +133,16 @@ def test_truncated_binary_snapshot_is_config_error(tmp_path, capsys):
     assert "truncated header" in capsys.readouterr().err
 
 
+def test_binary_snapshot_header_claiming_more_than_the_file_is_config_error(tmp_path, capsys):
+    # the header's nx, ny are checked against the file's size before they size a read
+    header = struct.pack("<IIddd", 2**32 - 1, 2**32 - 1, 1.0 / 6, 1.0 / 6, 0.0)
+    (tmp_path / "huge.tcf").write_bytes(b"TCF1" + header + bytes(8 * 49))
+    text = "[grid]\nnx = 6\nny = 6\n[time]\nsteps = 4\n[model]\nphi0 = file:huge.tcf\n"
+    rc = main(["separation", "--config", write_cfg(tmp_path, text)])
+    assert rc == 2
+    assert "truncated payload" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("side, code", [(1.0, 0), (3.0, 2)])
 def test_snapshot_cell_size_must_match_the_grid(tmp_path, capsys, side, code):
     write_snapshot_csv(tmp_path / "phi0.csv", Grid.unit(8, 8, side, side), np.full((9, 9), 0.1))
@@ -153,6 +164,21 @@ def test_non_finite_snapshot_is_config_error(tmp_path, capsys, key, bad):
     assert capsys.readouterr().err == (
         f"config error: snapshot {tmp_path / 'bad.csv'} holds non-finite values\n"
     )
+
+
+@pytest.mark.parametrize("command", ["simulate", "separation"])
+@pytest.mark.parametrize("expr", ["tanh_front:-1e308,1e308,0.5,0.1", "tanh_front:-1e308,1e308,100,0.1"],
+                         ids=["inf", "nan"])
+@pytest.mark.parametrize("key", ["iota", "phi0", "sigma0", "z0"])
+def test_non_finite_expression_is_config_error(tmp_path, capsys, recwarn, key, expr, command):
+    # finite arguments whose ramp overflows to inf, or to inf * 0 = nan
+    text = f"[grid]\nnx = 6\nny = 6\n[time]\nsteps = 4\n[model]\n{key} = {expr}\n"
+    rc = main([command, "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: field expression {expr!r} evaluates to non-finite values\n"
+    )
+    assert not recwarn.list
 
 
 def test_help_describes_every_subcommand(capsys):
@@ -700,17 +726,41 @@ def test_constant_supply_sets_the_lactate_cap(tmp_path):
     assert state.sigma_cap_for(spec, cfg.control0) == pytest.approx(expected, rel=1e-15)
 
 
-@pytest.mark.parametrize("model_keys, row", [
-    ("mu_min = -5", "elasticity-positivity"),
-    ("k2_variable = true\nk2_low = -0.9", "lactate-kinetics-bounds"),
-], ids=["mu_min", "k2_low"])
-def test_nonpositive_floor_fails_its_row(tmp_path, capsys, model_keys, row):
-    cfg = write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n[model]\n{model_keys}\n")
-    rc = main(["hypothesis-check", "--config", cfg])
+# each hypothesis row with the [model] lines that fail it and no other row
+FALSIFIERS = {
+    "proliferation-bounds": "p_star = -1",
+    "lactate-kinetics-bounds": "k2_variable = true\nk2_low = -0.9",
+    "elasticity-positivity": "mu_min = -5",
+    "damage-barrier": "c1 = 0",
+    "mechanical-coupling-bounded": "psi_max = -1",
+    "boundary-lactate-range": "sigma_boundary = const:2",
+    "initial-data-range": "z0 = const:0",
+    "stress-weight-bounded": "gamma_max = -1",
+}
+
+
+@pytest.mark.parametrize("row", FALSIFIERS)
+def test_each_hypothesis_row_fails_on_its_falsifier_alone(tmp_path, capsys, row):
+    text = f"[grid]\nnx = 6\nny = 6\n[time]\nsteps = 4\n[model]\n{FALSIFIERS[row]}\n"
+    rc = main(["hypothesis-check", "--config", write_cfg(tmp_path, text)])
     out = capsys.readouterr().out
     assert rc == 1
     assert next(l for l in out.split("\n") if l.startswith(row)).split()[1] == "FAIL"
-    assert "1 failing" in out
+    assert "8 conditions, 1 failing" in out
+
+
+@pytest.mark.parametrize("section, lines, message", [
+    ("cost", "\n".join(f"alpha{i} = 0" for i in range(1, 10)),
+     "at least one cost weight must be positive"),
+    ("model", "iota = tanh_front:-1e308,1e308,100,0.1", "evaluates to non-finite values"),
+    ("cost", "phi_track = tanh_front:-1e308,1e308,0.5,0.1", "evaluates to non-finite values"),
+], ids=["zero-weights", "iota", "target"])
+def test_cost_data_and_field_finiteness_are_checked_at_load(tmp_path, capsys, section, lines, message):
+    # the hypothesis gate has no row for these: load_config rejects them first
+    text = f"[grid]\nnx = 6\nny = 6\n[time]\nsteps = 4\n[{section}]\n{lines}\n"
+    rc = main(["hypothesis-check", "--config", write_cfg(tmp_path, text)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(cli._DISPATCH))

@@ -5,9 +5,10 @@ only the command line writes a run directory, only linearized assembles
 the linearization coefficients and writes the tangent's substeps, no
 handler catches every exception, the command line reads every field of
 a run configuration, every definition in the package is named by the
-package or the benchmark, and the command line loads none of
+package or the benchmark, the command line loads none of
 scipy.sparse.linalg, scipy.linalg, scipy.special and scipy.integrate, at
-import or in a run."""
+import or in a run, and the benchmark's tracer still finds every name it
+rebinds."""
 import ast
 import dataclasses
 import os
@@ -140,6 +141,32 @@ def test_cli_import_loads_no_sparse_linalg(tmp_path):
         "    refine = ['--refine', '1'] if cmd == 'gradient-check' else []\n"
         f"    cli.main([cmd, '--config', {str(ini)!r}, '--out', {str(tmp_path)!r} + '/' + cmd] + refine)\n"
         "    assert not heavy & set(sys.modules), (cmd, heavy & set(sys.modules))\n"
+    )
+    src = str(Path(tumorctrl.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_benchmark_tracer_still_hooks_the_package(tmp_path):
+    # perfbench/tracer.py rebinds package names by attribute, so a rename
+    # or a deletion in the package breaks only traced benchmark runs
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[grid]\nnx = 6\nny = 6\n[time]\nsteps = 4\n")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / 'perfbench')!r})\n"
+        "from tracer import Tracer\n"
+        "from tumorctrl import cli\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        f"rc = cli.main(['simulate', '--config', {str(ini)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "assert rc == 0, rc\n"
+        "calls = tracer.calls\n"
+        "assert calls['state.step_u'] > 0 and calls['model.check_hypotheses'] > 0, dict(calls)\n"
     )
     src = str(Path(tumorctrl.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
