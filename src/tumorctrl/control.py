@@ -51,6 +51,8 @@ class AdmissibleSet:
     c_ad: float = np.inf
 
     def validate(self):
+        if not np.isfinite((self.chi1_low, self.chi1_high, self.chi2_low, self.chi2_high)).all():
+            raise ValueError("admissible box ends must be finite")
         if not (self.chi1_low <= self.chi1_high and self.chi2_low <= self.chi2_high):
             raise ValueError("admissible boxes are empty")
         if not self.c_ad > 0:
@@ -114,8 +116,9 @@ def reduced_gradient(traj: StateTrajectory, adj: AdjointTrajectory, weights: Cos
     return Control(a4 * adj.q + a9 * traj.control.chi1, b4 * adj.r + a9 * traj.control.chi2)
 
 
-def fd_directional(control: Control, direction: Control, weights, targets, spec, eps=1e-4):
-    """Central difference of the reduced objective along a direction."""
+def fd_directional(control: Control, direction: Control, weights, targets, spec):
+    """Central difference of the reduced objective along a direction, step 1e-4."""
+    eps = 1e-4
     up = Control(control.chi1 + eps * direction.chi1, control.chi2 + eps * direction.chi2)
     dn = Control(control.chi1 - eps * direction.chi1, control.chi2 - eps * direction.chi2)
     j_up, _ = eval_cost(solve_state(up, spec), weights, targets, spec)
@@ -258,26 +261,13 @@ class VIReport:
         )
 
 
-def _probe_range(low, high):
-    """Finite sampling range of one dose box.
-
-    An infinite high samples at 1.0, an infinite low at 1 below the
-    smaller of 0 and the (sampled) high.
-    """
-    hi = high if np.isfinite(high) else 1.0
-    lo = low if np.isfinite(low) else min(hi, 0.0) - 1.0
-    return lo, hi
-
-
 def admissible_probes(n_steps, adm: AdmissibleSet, grid, T, n_random=8, seed=0):
     """Yield (name, probe) admissible controls one at a time.
 
     The four constant box corners come first, then n_random uniform draws
-    from the boxes, each projected.  An infinite box end is sampled at a
-    finite stand-in, so every probe is finite.
+    from the boxes, each projected.
     """
-    lo1, hi1 = _probe_range(adm.chi1_low, adm.chi1_high)
-    lo2, hi2 = _probe_range(adm.chi2_low, adm.chi2_high)
+    lo1, hi1, lo2, hi2 = adm.chi1_low, adm.chi1_high, adm.chi2_low, adm.chi2_high
     for name, c1, c2 in (
         ("corner-low-low", lo1, lo2),
         ("corner-low-high", lo1, hi2),

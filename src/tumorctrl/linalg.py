@@ -247,8 +247,8 @@ def elastic_solver(grid, mu, lam):
     return solve
 
 
-def cg_solve(A, b, x0=None, label="cg", precond=None):
-    """Solve A x = b for a symmetric positive definite operator A.
+def cg_solve(A, b, precond, label, x0=None):
+    """Solve A x = b for a symmetric positive definite operator A, preconditioned.
 
     Converges when ||r|| / ||b|| <= CG_RTOL and gives up with a SolverError
     after ceil(10 * sqrt(len(b))) iterations, or at once when ||b|| is not
@@ -258,9 +258,9 @@ def cg_solve(A, b, x0=None, label="cg", precond=None):
     ----------
     A : callable returning the product A @ x of a vector x
     b : right-hand side vector
-    x0 : optional warm start
+    precond : callable applying an SPD approximate inverse of A
     label : name used in the non-convergence error
-    precond : optional callable applying an SPD approximate inverse of A
+    x0 : optional warm start
 
     Returns
     -------
@@ -282,7 +282,7 @@ def cg_solve(A, b, x0=None, label="cg", precond=None):
     resid = np.linalg.norm(r)
     if resid <= CG_RTOL * bnorm:
         return x, 0
-    z = r if precond is None else precond(r)
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     for k in range(1, maxiter + 1):
@@ -298,7 +298,7 @@ def cg_solve(A, b, x0=None, label="cg", precond=None):
         resid = np.linalg.norm(r)
         if resid <= CG_RTOL * bnorm:
             return x, k
-        z = r if precond is None else precond(r)
+        z = precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

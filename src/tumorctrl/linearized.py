@@ -65,27 +65,25 @@ class LinearizedCoefficients:
     mu_b: np.ndarray
     lam_b: np.ndarray
 
-    def validate(self, step0=None):
+    def validate(self, step0):
         """Raise DomainError naming the first non-finite node of a field.
 
-        With step0 the fields are a block whose first level is time step
-        step0, and the message names the absolute step of the node.  A
-        finite sum implies finite entries, so only a field whose sum is
-        not finite (a bad entry, or an overflow) pays the locating scan.
+        The fields are a block whose first level is time step step0, and the
+        message names the absolute step of the node.  A finite sum implies
+        finite entries, so only a field whose sum is not finite (a bad
+        entry, or an overflow) pays the locating scan.
         """
         for f in fields(self):
             name, arr = f.name, getattr(self, f.name)
             if np.isfinite(arr.sum()):
                 continue
-            if step0 is not None and name in _TENSORS:
+            if name in _TENSORS:
                 arr = np.moveaxis(arr, 1, 0)
             bad = ~np.isfinite(arr)
             if bad.any():
                 node = tuple(
                     int(v) for v in np.unravel_index(int(np.flatnonzero(bad)[0]), arr.shape)
                 )
-                if step0 is None:
-                    raise DomainError(f"coefficient {name} non-finite at node {node}")
                 raise DomainError(
                     f"coefficient {name} non-finite at step {step0 + node[0]}, node {node[1:]}"
                 )
@@ -109,19 +107,16 @@ def dose_coefficients(phi, z, spec, S=None):
 
 
 def assemble_coefficients(
-    phi, sigma, z, eps, chi1, chi2, spec, phi_mech=None, z_slope=None, step0=None
+    phi, sigma, z, eps, chi1, chi2, spec, phi_mech, z_slope, step0
 ) -> LinearizedCoefficients:
-    """Evaluate the thirteen linearization coefficients at one or more levels.
+    """Evaluate the thirteen linearization coefficients on a block of levels.
 
+    The fields stack B levels, eps component-first (3, B, ny+1, nx+1);
+    step0 is the time step of the first level, named by validation errors.
     phi_mech is the tumor at which the moduli and the mechanical
     coefficients c1, c2, d1 and d2 are taken, z_slope the damage at which
-    d3 is; both default to the same level as the rest.  The tangent march
-    staggers them to match the state substeps.  Stacked levels, with eps
-    component-first (3, B, ny+1, nx+1), give a block; step0 is the time
-    step of its first level, named by validation errors.
+    d3 is; the tangent march staggers them to match the state substeps.
     """
-    phi_mech = phi if phi_mech is None else phi_mech
-    z_slope = z if z_slope is None else z_slope
     p, (p_sigma, p_z) = spec.p.value_grad(sigma, z)
     g_, (g_sigma, g_z) = spec.g.value_grad(sigma, z)
     S, (S_phi, S_z) = spec.S.value_grad(phi, z)
@@ -180,13 +175,12 @@ def one_sided(traj: StateTrajectory, spec, n, dphi, dsigma):
     Where traj.diagnostics records that the step clamped a field, its
     derivative is zeroed at the nodes the step left on a bound of the clamp
     window: np.clip writes the bounds exactly, so those are the nodes it may
-    have held.  A trajectory without diagnostics counts as never clamped.
-    Returns new arrays where a mask applies, the inputs otherwise.
+    have held.  Returns new arrays where a mask applies, the inputs otherwise.
     """
     d = traj.diagnostics
-    if d is not None and d.phi_clamp[n - 1] > 0.0:
+    if d.phi_clamp[n - 1] > 0.0:
         dphi = dphi * ((0.0 < traj.phi[n]) & (traj.phi[n] < spec.N))
-    if d is not None and d.sigma_clamp[n - 1] > 0.0:
+    if d.sigma_clamp[n - 1] > 0.0:
         dsigma = dsigma * ((0.0 < traj.sigma[n]) & (traj.sigma[n] < d.sigma_cap))
     return dphi, dsigma
 

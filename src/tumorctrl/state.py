@@ -158,7 +158,7 @@ class StateTrajectory:
     u: np.ndarray
     z: np.ndarray
     control: Control
-    diagnostics: Optional[Diagnostics] = None
+    diagnostics: Diagnostics
 
     @property
     def n_steps(self):
@@ -220,8 +220,8 @@ class StepOperators:
         ws = g.quad_weights * slope.ravel()
         x0 = None if x0 is None else x0.ravel()
         x, iters = cg_solve(
-            lambda v: ws * v + lap @ v, g.quad_weights * f.ravel(), x0=x0, label=label,
-            precond=self.solve_neumann,
+            lambda v: ws * v + lap @ v, g.quad_weights * f.ravel(), precond=self.solve_neumann,
+            label=label, x0=x0,
         )
         return x.reshape(g.shape), iters
 
@@ -236,7 +236,7 @@ class StepOperators:
         idx = g.interior_vector_indices
         old = u_old.ravel()[idx]
         rhs = self.viscous(old) + load[idx]
-        sol, iters = cg_solve(M_int, rhs, x0=old, label=label, precond=self.u_factor)
+        sol, iters = cg_solve(M_int, rhs, precond=self.u_factor, label=label, x0=old)
         full = np.zeros(2 * g.n_nodes)
         full[idx] = sol
         u_new = full.reshape((2,) + g.shape)

@@ -15,7 +15,8 @@ the step count.  The families serve different purposes:
   known dose, so an optimizer has something to recover.
 
 The grid helpers below are references the tests measure the solvers
-against; no solver path applies them.
+against; no solver path applies them.  level_coefficients evaluates the
+linearization coefficients at one level, as a 1-level block at step 0.
 """
 from dataclasses import dataclass, replace
 
@@ -24,6 +25,7 @@ import scipy.sparse as sps
 
 from tumorctrl.adjoint import CostWeights, Targets
 from tumorctrl.grid import Grid
+from tumorctrl.linearized import assemble_coefficients
 from tumorctrl.model import DefaultLogisticFamily, constant_map
 from tumorctrl.state import Control, solve_state
 
@@ -129,6 +131,17 @@ def synthetic_inverse_pair(nx=10, n_steps=12, T=0.5):
         z_track=ref_traj.z[-1].copy(),
     )
     return Scenario(spec, reference, n_steps, extras={"weights": weights, "targets": targets})
+
+
+def level_coefficients(phi, sigma, z, eps, chi1, chi2, spec, phi_mech=None, z_slope=None):
+    """Coefficients at one level: a 1-level block at step 0, mechanics at (phi, z) by default."""
+    phi_mech = phi if phi_mech is None else phi_mech
+    z_slope = z if z_slope is None else z_slope
+    scalars = (f[None] for f in (phi, sigma, z))
+    block = assemble_coefficients(
+        *scalars, eps[:, None], chi1[None], chi2[None], spec, phi_mech[None], z_slope[None], 0
+    )
+    return block.level(0)
 
 
 def robin_linear_matrix(g):

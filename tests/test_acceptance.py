@@ -27,11 +27,12 @@ from tumorctrl.control import (
     vi_residual,
 )
 from tumorctrl.grid import Grid, stress_from_strain
-from tumorctrl.linearized import assemble_coefficients, solve_linearized, taylor_test
+from tumorctrl.linearized import solve_linearized, taylor_test
 from tumorctrl.state import Control, solve_state
 
 from scenarios import (
     bounds_stress_scenario,
+    level_coefficients,
     ode_scenario,
     smooth_scenario,
     synthetic_inverse_pair,
@@ -258,7 +259,7 @@ def _coefficient_errors(spec, seed=5):
     eps = 0.2 * rng.standard_normal((3,) + g.shape)
     chi1 = rng.uniform(0.0, 1.0, g.shape)
     chi2 = rng.uniform(0.0, 1.0, g.shape)
-    co = assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec)
+    co = level_coefficients(phi, sigma, z, eps, chi1, chi2, spec)
     picks = np.random.default_rng(11).choice(g.n_nodes, size=50, replace=False)
     nodes = [tuple(int(v) for v in p) for p in zip(*np.unravel_index(picks, g.shape))]
     h = 1e-6

@@ -21,16 +21,18 @@ from tumorctrl.adjoint import (
 from tumorctrl.control import reduced_gradient
 from tumorctrl.grid import Grid, tensor_dot, trapezoid_weights
 from tumorctrl.linearized import solve_linearized
-from tumorctrl.state import Control, StateTrajectory, solve_state
+from tumorctrl.state import Control, Diagnostics, StateTrajectory, solve_state
 
 from scenarios import smooth_scenario
 
 
-def constant_trajectory(grid, K=4, T=0.4, phi=0.3, sigma=0.6, z=0.5, shear=0.2, c1=0.7, c2=0.4):
+def constant_trajectory(spec, K=4, T=0.4, phi=0.3, sigma=0.6, z=0.5, shear=0.2, c1=0.7, c2=0.4):
+    grid = spec.grid
     x, _ = grid.meshes
     u = np.stack([shear * x, np.zeros(grid.shape)])
     times = np.linspace(0.0, T, K + 1)
     rep = lambda f: np.repeat(f[None], K + 1, axis=0)
+    control = Control.constant(grid, K, c1, c2)
     return StateTrajectory(
         grid=grid,
         times=times,
@@ -38,14 +40,15 @@ def constant_trajectory(grid, K=4, T=0.4, phi=0.3, sigma=0.6, z=0.5, shear=0.2, 
         sigma=rep(np.full(grid.shape, sigma)),
         u=rep(u),
         z=rep(np.full(grid.shape, z)),
-        control=Control.constant(grid, K, c1, c2),
+        control=control,
+        diagnostics=Diagnostics.empty(control, spec),
     )
 
 
 def test_cost_closed_form_on_constants():
     g = Grid.unit(8, 8)
     spec = mdl.DefaultLogisticFamily().build(g)
-    traj = constant_trajectory(g)
+    traj = constant_trajectory(spec)
     T, area = 0.4, 1.0
     w = CostWeights(1.0, 2.0, 0.5, 3.0, 0.25, 1.5, 0.8, 0.6, 0.1)
     tg = Targets(
@@ -83,6 +86,7 @@ def test_cost_partials_are_the_derivative_of_eval_cost():
     K, x, y = 4, *g.meshes
     lv = np.arange(K + 1)[:, None, None]
     u = np.stack([0.2 * x * y, 0.1 * np.sin(np.pi * x) * y])
+    control = Control.constant(g, K, 0.7, 0.4)
     traj = StateTrajectory(
         grid=g,
         times=np.linspace(0.0, 0.4, K + 1),
@@ -90,7 +94,8 @@ def test_cost_partials_are_the_derivative_of_eval_cost():
         sigma=0.6 + 0.1 * x * y - 0.01 * lv,
         u=u * (1.0 + 0.1 * lv[:, None]),
         z=0.5 + 0.05 * np.cos(np.pi * x) + 0.01 * lv,
-        control=Control.constant(g, K, 0.7, 0.4),
+        control=control,
+        diagnostics=Diagnostics.empty(control, spec),
     )
     w = CostWeights(1.0, 2.0, 0.5, 3.0, 0.25, 1.5, 0.8, 0.6, 0.1)
     tg = Targets(0.1 + 0.05 * x, 0.2 * y, 0.4 + 0.2 * x * y, 0.5 - 0.1 * x, 0.45 + 0.05 * y)

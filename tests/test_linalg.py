@@ -83,9 +83,10 @@ def test_cg_cold_start_skips_the_product_with_zero():
         calls.append(1)
         return A @ v
 
-    x, iters = cg_solve(counted, b)
+    identity = lambda r: r
+    x, iters = cg_solve(counted, b, precond=identity, label="cg")
     assert iters > 0 and len(calls) == iters
-    warm, _ = cg_solve(counted, b, x0=np.zeros_like(b))
+    warm, _ = cg_solve(counted, b, precond=identity, label="cg", x0=np.zeros_like(b))
     assert np.array_equal(x, warm)
 
 
@@ -102,5 +103,5 @@ def test_cg_rejects_a_non_finite_right_hand_side(bad):
         return A @ v
 
     with pytest.raises(SolverError, match="u-step: right-hand side norm is"):
-        cg_solve(counted, b, label="u-step")
+        cg_solve(counted, b, precond=lambda r: r, label="u-step")
     assert not calls

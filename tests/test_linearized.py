@@ -31,7 +31,7 @@ from tumorctrl.state import (
     Control, solve_state, step_operators, step_phi, step_sigma, step_u, step_z, u_operator,
 )
 
-from scenarios import bounds_stress_scenario, smooth_scenario
+from scenarios import bounds_stress_scenario, level_coefficients, smooth_scenario
 
 
 @pytest.fixture(scope="module", params=["default", "k2-variable"])
@@ -65,7 +65,7 @@ def test_assembly_evaluates_each_logistic_map_once(monkeypatch):
         return expit(x)
 
     monkeypatch.setattr(mdl, "expit", counted)
-    assemble_coefficients(*random_fields(spec), spec)
+    level_coefficients(*random_fields(spec), spec)
     # p, g, k1 and S with both partials, and the partials of the two moduli
     assert len(calls) == 6
 
@@ -74,7 +74,7 @@ def test_coefficients_match_finite_differences(spec):
     # every entry of the table is the derivative of a parent nonlinearity;
     # probe 50 random nodes per coefficient against central differences
     phi, sigma, z, eps, chi1, chi2 = random_fields(spec)
-    co = assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec)
+    co = level_coefficients(phi, sigma, z, eps, chi1, chi2, spec)
     rng = np.random.default_rng(11)
     g = spec.grid
     flat = [(int(j), int(i)) for j, i in zip(*np.unravel_index(
@@ -131,16 +131,16 @@ def test_non_finite_coefficient_is_a_domain_error(spec):
     phi, sigma, z, eps, chi1, chi2 = random_fields(spec)
     chi2 = chi2.copy()
     chi2[4, 1] = np.nan
-    with pytest.raises(DomainError, match=r"coefficient b1 non-finite at node \(4, 1\)"):
-        assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec)
+    with pytest.raises(DomainError, match=r"coefficient b1 non-finite at step 0, node \(4, 1\)"):
+        level_coefficients(phi, sigma, z, eps, chi1, chi2, spec)
 
 
 def test_coefficient_validation_names_bad_node(spec):
     phi, sigma, z, eps, chi1, chi2 = random_fields(spec)
     phi = phi.copy()
     phi[2, 3] = np.nan
-    with pytest.raises(ValueError, match=r"coefficient a1 non-finite at node \(2, 3\)"):
-        assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec)
+    with pytest.raises(ValueError, match=r"coefficient a1 non-finite at step 0, node \(2, 3\)"):
+        level_coefficients(phi, sigma, z, eps, chi1, chi2, spec)
 
 
 def test_block_error_names_the_step(spec):
@@ -149,11 +149,11 @@ def test_block_error_names_the_step(spec):
     eps = np.moveaxis(eps, 1, 0)
     chi2[2, 4, 1] = np.nan
     with pytest.raises(DomainError, match=r"coefficient b1 non-finite at step 12, node \(4, 1\)"):
-        assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec, step0=10)
+        assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec, phi, z, 10)
     chi2[2, 4, 1] = 0.5
     eps[1, 3, 2, 5] = np.nan
     with pytest.raises(DomainError, match=r"coefficient c1 non-finite at step 13, node \(0, 2, 5\)"):
-        assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec, step0=10)
+        assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec, phi, z, 10)
 
 
 def test_block_steps_follow_byte_budget(monkeypatch):
@@ -166,7 +166,7 @@ def test_block_steps_follow_byte_budget(monkeypatch):
 
 
 def reference_tangent(traj, direction, spec):
-    """Per-step tangent march, one assemble_coefficients call per level."""
+    """Per-step tangent march, one coefficient evaluation per level."""
     g, K, tau = spec.grid, traj.n_steps, traj.tau
     chi1, chi2 = traj.control.chi1, traj.control.chi2
     xi, rho, zeta = (np.zeros((K + 1,) + g.shape) for _ in range(3))
@@ -174,7 +174,7 @@ def reference_tangent(traj, direction, spec):
     ops = step_operators(spec, tau)
     gtw = g.sym_grad_weighted_transpose
     for n in range(K):
-        co = assemble_coefficients(
+        co = level_coefficients(
             traj.phi[n], traj.sigma[n], traj.z[n], g.sym_grad(traj.u[n + 1]), chi1[n], chi2[n], spec,
             phi_mech=traj.phi[n + 1], z_slope=traj.z[n + 1],
         )
@@ -191,7 +191,7 @@ def reference_tangent(traj, direction, spec):
 
 
 def reference_adjoint(traj, weights, targets, spec):
-    """Per-step adjoint march, one assemble_coefficients call per level.
+    """Per-step adjoint march, one coefficient evaluation per level.
 
     Its sources are the cost partials the march reads, so the two agree
     bitwise; test_cost_partials_are_the_derivative_of_eval_cost checks the
@@ -206,7 +206,7 @@ def reference_adjoint(traj, weights, targets, spec):
     gtw = g.sym_grad_weighted_transpose
     for m in range(K, 0, -1):
         ph, sg, zz, ee = traj.phi[m], traj.sigma[m], traj.z[m], g.sym_grad(traj.u[m])
-        co = assemble_coefficients(ph, sg, zz, ee, chi1[m], chi2[m], spec)
+        co = level_coefficients(ph, sg, zz, ee, chi1[m], chi2[m], spec)
         l_phi, l_sigma, l_z, l_eps = running_partials(ph, sg, zz, ee, weights, targets, spec)
         f_q = co.a1 * q[m] + co.b1 * r[m] + co.d1 * s[m] - tensor_dot(co.c1, eps_v[m]) + l_phi
         q[m - 1] = ops.neumann(q[m] + tau * f_q)
@@ -417,13 +417,17 @@ def test_taylor_slope_through_recorded_clamps(chi1_level):
 
 
 def test_only_recorded_clamps_mask_the_sweeps(small_run):
-    # a trajectory without diagnostics counts as never clamped
+    # a record whose clamps are zeroed masks nothing
     stress = bounds_stress_scenario(n_steps=10, chi1_level=100.0)
     runs = (small_run, (stress, solve_state(stress.control, stress.spec)))
     w = CostWeights(1, 1, 0, 1, 1, 0.3, 1, 0, 0.1)
     for clamped, (sc, traj) in zip((False, True), runs):
-        assert (traj.diagnostics.phi_clamp.max() > 0.0) == clamped
-        bare = replace(traj, diagnostics=None)
+        d = traj.diagnostics
+        assert (d.phi_clamp.max() > 0.0) == clamped
+        zeroed = replace(
+            d, phi_clamp=np.zeros_like(d.phi_clamp), sigma_clamp=np.zeros_like(d.sigma_clamp)
+        )
+        bare = replace(traj, diagnostics=zeroed)
         h, tg = uniform_direction(sc), Targets.resting(sc.spec)
         xi = [solve_linearized(t, h, sc.spec).xi for t in (traj, bare)]
         q = [solve_adjoint(t, w, tg, sc.spec).q for t in (traj, bare)]
