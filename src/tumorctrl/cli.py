@@ -41,11 +41,11 @@ def _hypothesis_report(cfg):
     return mdl.check_hypotheses(cfg.spec, np.random.default_rng(cfg.seed))
 
 
-def _gate_passes(cfg):
-    """Hypothesis gate run before any solve; prints the failed rows."""
+def _gate_passes(cfg, where=""):
+    """Hypothesis gate run before any solve; prints the failed rows, and where if given."""
     report = _hypothesis_report(cfg)
     if not report.ok:
-        print("hypothesis gate failed:")
+        print(f"hypothesis gate failed{where}:")
         for row in report.failures:
             print(f"  {row.name}: margin {row.margin: .3e} at {row.witness}")
     return report.ok
@@ -194,8 +194,13 @@ def _ode_oracle(cfg, times):
 
 def cmd_gradient_check(cfg, args):
     """tangent slope test plus adjoint-vs-difference table"""
-    if not _gate_passes(cfg):
-        return EXIT_FAIL
+    # every refined level is gated before any solve
+    levels = [cfg] + [load_config(args.config, refine=m) for m in range(1, 1 + args.refine)]
+    for m, level in enumerate(levels):
+        g = level.spec.grid
+        where = f" at refinement level {m} ({g.nx}x{g.ny}, {level.control0.n_steps} steps)"
+        if not _gate_passes(level, where if m else ""):
+            return EXIT_FAIL
     rng = np.random.default_rng(cfg.seed)
 
     def draw(n_steps, grid):
@@ -210,8 +215,7 @@ def cmd_gradient_check(cfg, args):
           + ", ".join(f"{r:.3e}" for r in tt["remainder"]) + ")")
 
     ok = True
-    for m in range(1 + args.refine):
-        level = load_config(args.config, refine=m) if m else cfg
+    for m, level in enumerate(levels):
         spec, targets, control0 = level.spec, level.targets, level.control0
         traj = solve_state(control0, spec) if m else tt["base"]
         grid, n_steps = spec.grid, control0.n_steps

@@ -285,6 +285,15 @@ def load_config(path, refine=0) -> RunConfig:
                     f"field '{key}' comes from a snapshot file and cannot be "
                     "re-evaluated at a refined resolution"
                 )
+    # the stored trajectory holds 5 float64 fields (phi, sigma, z, ux, uy)
+    # per node and level; a run whose trajectory would pass 2^34 bytes is
+    # refused here, before any field is built
+    n_bytes = 40 * ((n_steps << refine) + 1) * ((nx << refine) + 1) * ((ny << refine) + 1)
+    if n_bytes > 1 << 34:
+        raise ConfigError(
+            f"[grid] nx = {nx}, ny = {ny} and [time] steps = {n_steps} at refinement {refine} "
+            f"give a state trajectory of {n_bytes} bytes, above the 2^34-byte bound"
+        )
     grid = Grid.unit(nx << refine, ny << refine, lx, ly)
     for key, h in (("lx", grid.hx), ("ly", grid.hy)):
         if not (0 < h * h < math.inf and 1 / (h * h) < math.inf):

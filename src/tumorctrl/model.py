@@ -494,24 +494,23 @@ def check_hypotheses(spec: ModelSpec, rng: Optional[np.random.Generator] = None)
         )
     )
 
-    z0min, z0max = float(spec.z0.min()), float(spec.z0.max())
     # tumor and lactate may start on their closed bounds; the damage must
-    # stay strictly inside the unit interval for the log potential
-    closed_margin = min(
-        float(spec.phi0.min()),
-        float((spec.N - spec.phi0).min()),
-        float(spec.sigma0.min()),
-        float((spec.M0 - spec.sigma0).min()),
-    )
-    interior_margin = min(z0min, 1.0 - z0max)
-    init_margin = min(closed_margin, interior_margin)
+    # stay strictly inside the unit interval for the log potential.  Each
+    # datum's two ends give a margin, and the witness names the smallest.
+    ends = []
+    for name, top in (("phi0", spec.N), ("sigma0", spec.M0), ("z0", 1.0)):
+        lo, hi = float(getattr(spec, name).min()), float(getattr(spec, name).max())
+        ends += [(lo, f"(min {name} = {lo:.4g})"), (float(top - hi), f"(max {name} = {hi:.4g})")]
+    closed_margin = min(m for m, _ in ends[:4])
+    interior_margin = min(m for m, _ in ends[4:])
+    init_margin, witness = min(ends, key=lambda e: e[0])
     bnd_u0 = float(np.abs(spec.u0[:, spec.grid.boundary_mask]).max()) if spec.u0.size else 0.0
     rows.append(
         HypothesisRow(
             "initial-data-range",
             bool(closed_margin >= 0.0 and interior_margin > 0.0 and bnd_u0 == 0.0),
             init_margin,
-            f"(z0 in [{z0min:.4g}, {z0max:.4g}])",
+            witness,
         )
     )
 

@@ -607,6 +607,21 @@ def test_gradient_check_reuses_taylor_base_solve(tmp_path, capsys, monkeypatch):
     assert len(states) == 1 + 5 + 3 * 2
 
 
+def test_gradient_check_gates_every_refined_level(tmp_path, capsys):
+    # the 2x2 level passes the gate; the 4x4 one puts phi0 = 1.5 > N on a node
+    text = "[grid]\nnx = 2\nny = 2\n[time]\nsteps = 2\n[model]\nphi0 = gaussian:1.5,0.25,0.5,0.001\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["hypothesis-check", "--config", cfg]) == 0
+    capsys.readouterr()
+    rc = main(["gradient-check", "--config", cfg, "--refine", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines == [
+        "hypothesis gate failed at refinement level 1 (4x4, 4 steps):",
+        "  initial-data-range: margin -5.000e-01 at (max phi0 = 1.5)",
+    ]
+
+
 GRADIENT_REFINE = """
 [grid]
 nx = 8
@@ -747,6 +762,39 @@ def test_each_hypothesis_row_fails_on_its_falsifier_alone(tmp_path, capsys, row)
     assert rc == 1
     assert next(l for l in out.split("\n") if l.startswith(row)).split()[1] == "FAIL"
     assert "8 conditions, 1 failing" in out
+
+
+@pytest.mark.parametrize("line, row", [
+    ("", ["pass", "1.118e-06", "(min phi0 = 1.118e-06)"]),
+    ("z0 = const:0", ["FAIL", "0.000e+00", "(min z0 = 0)"]),
+    ("sigma0 = const:2", ["FAIL", "-1.000e+00", "(max sigma0 = 2)"]),
+], ids=["phi0", "z0", "sigma0"])
+def test_initial_data_witness_names_the_datum_that_sets_the_margin(tmp_path, capsys, line, row):
+    cfg = write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n[model]\n{line}\n")
+    main(["hypothesis-check", "--config", cfg])
+    out = capsys.readouterr().out
+    assert next(l for l in out.splitlines() if l.startswith("initial-data-range")).split(None, 3)[1:] == row
+
+
+@pytest.mark.parametrize("command", ["hypothesis-check", "simulate"])
+def test_run_too_large_to_hold_is_config_error(tmp_path, capsys, command):
+    # rejected before any field is built: nothing of this size is allocated
+    cfg = write_cfg(tmp_path, "[grid]\nnx = 1000000\nny = 1000000\n")
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: [grid] nx = 1000000, ny = 1000000 and [time] steps = 200 at refinement 0 "
+        "give a state trajectory of 8040016080008040 bytes, above the 2^34-byte bound\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_refined_load_too_large_to_hold_is_config_error(tmp_path):
+    cfg = write_cfg(tmp_path, "[grid]\nnx = 2\nny = 2\n[time]\nsteps = 2\n")
+    assert load_config(cfg, refine=2).spec.grid.nx == 8
+    with pytest.raises(ConfigError, match=r"^\[grid\] nx = 2, ny = 2 and \[time\] steps = 2 at "
+                                          r"refinement 30 give a state trajectory of \d+ bytes"):
+        load_config(cfg, refine=30)
 
 
 @pytest.mark.parametrize("section, lines, message", [

@@ -167,6 +167,8 @@ def test_benchmark_tracer_still_hooks_the_package(tmp_path):
         "assert rc == 0, rc\n"
         "calls = tracer.calls\n"
         "assert calls['state.step_u'] > 0 and calls['model.check_hypotheses'] > 0, dict(calls)\n"
+        # a cg_solve call passing its label positionally would count as linalg.cg.cg
+        "assert calls['linalg.cg.u-step'] > 0 and calls['linalg.cg.z-newton'] > 0, dict(calls)\n"
     )
     src = str(Path(tumorctrl.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
