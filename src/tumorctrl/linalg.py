@@ -288,7 +288,7 @@ def cg_solve(A, b, precond, label, x0=None):
     for k in range(1, maxiter + 1):
         Ap = A(p)
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
+        if not pAp > 0.0:  # NaN fails this test too
             raise SolverError(
                 f"{label}: operator lost positive definiteness (p.Ap = {pAp:.3e})"
             )

@@ -30,7 +30,6 @@ from .grid import stress_from_strain, tensor_dot
 from .state import Control, StateTrajectory, StepOperators, solve_state, step_operators, u_operator
 
 BLOCK_BYTES = 32 * 1024
-_TENSORS = ("c1", "c2", "d2")
 
 
 def block_steps(grid):
@@ -77,25 +76,21 @@ class LinearizedCoefficients:
             name, arr = f.name, getattr(self, f.name)
             if np.isfinite(arr.sum()):
                 continue
-            if name in _TENSORS:
-                arr = np.moveaxis(arr, 1, 0)
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                node = tuple(
-                    int(v) for v in np.unravel_index(int(np.flatnonzero(bad)[0]), arr.shape)
-                )
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):
+                # rows come in index order, so the first at the earliest step
+                # has the lowest tensor component and node there
+                *comp, step, y, x = (int(v) for v in bad[bad[:, -3].argmin()])
                 raise DomainError(
-                    f"coefficient {name} non-finite at step {step0 + node[0]}, node {node[1:]}"
+                    f"coefficient {name} non-finite at step {step0 + step}, node {(*comp, y, x)}"
                 )
         return self
 
     def level(self, j):
         """Views of level j of a block."""
-        views = {}
-        for f in fields(self):
-            arr = getattr(self, f.name)
-            views[f.name] = arr[:, j] if f.name in _TENSORS else arr[j]
-        return LinearizedCoefficients(**views)
+        return LinearizedCoefficients(
+            **{f.name: getattr(self, f.name)[..., j, :, :] for f in fields(self)}
+        )
 
 
 def dose_coefficients(phi, z, spec, S=None):

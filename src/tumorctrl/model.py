@@ -153,23 +153,9 @@ class ModelSpec:
         )
 
     @cached_property
-    def _separation(self):
-        try:
-            return separation_bounds(self), None
-        except SeparationError as err:
-            return None, err
-
-    @property
     def separation(self) -> "SeparationBounds":
-        """separation_bounds(self), computed once per spec object.
-
-        A spec without a separation interval raises its SeparationError on
-        every access.
-        """
-        bounds, err = self._separation
-        if err is not None:
-            raise err
-        return bounds
+        """separation_bounds(self), once per spec; without an interval it raises on each access."""
+        return separation_bounds(self)
 
 
 # -- pointwise formulas ------------------------------------------------------
@@ -538,6 +524,10 @@ class SeparationBounds:
     b: float
     root_low: float
     root_high: float
+
+    def excess(self, lo, hi):
+        """How far the range [lo, hi] leaves the certified interval; 0.0 inside it."""
+        return max(0.0, self.r_low - float(lo), float(hi) - self.r_high)
 
 
 def _bisect(fn, lo, hi):

@@ -15,24 +15,23 @@ the data cap with the worst-case production the control can drive.
 
 march is the time loop as a generator: it yields one time level at a time
 and keeps only the current one, so a consumer that writes or skips each
-level as it arrives (the simulate and separation commands) never holds
-the trajectory.  The march's
-Diagnostics record is the one account of a forward run: the per-step clamp
-excess and iteration counts, and the range of each field over all levels,
-from which the damage containment verdict is read.  solve_state collects
+level as it arrives (as the forward-only commands do) never holds the
+trajectory.  The march's Diagnostics record is what a forward run
+observed: the per-step clamp excess and iteration counts, the lactate cap
+and the range of each field over all levels.  solve_state collects
 the same levels into a StateTrajectory for the sweeps that read every
 level back (tangent, adjoint, cost), all but the strain, which they
 rebuild from the displacement as they read it.  The solver does no I/O.
 """
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sps
 
 from . import model as mdl
-from .errors import SeparationError, SolverError
+from .errors import SolverError
 from .linalg import cg_solve, elastic_solver, separable_solver
 
 
@@ -74,7 +73,7 @@ class Control:
 
 @dataclass
 class Diagnostics:
-    """Record of one forward run, filled in by march.
+    """What one forward run observed, filled in by march.
 
     Per step: the pre-clamp excess of tumor and lactate, the damage Newton
     steps and the displacement CG iterations.  lo and hi are the minima and
@@ -86,7 +85,6 @@ class Diagnostics:
     newton_iters: np.ndarray
     cg_u: np.ndarray
     sigma_cap: float
-    z_window: Optional[tuple]
     lo: np.ndarray
     hi: np.ndarray
 
@@ -94,21 +92,15 @@ class Diagnostics:
     def empty(cls, control, spec):
         """Zeroed record for a march of control, which is checked against spec's grid.
 
-        Only the lactate cap and the certified damage window are set.
+        Only the lactate cap is set.
         """
         K = control.validate(spec.grid).n_steps
-        try:
-            sep = spec.separation
-            window = (sep.r_low, sep.r_high)
-        except SeparationError:
-            window = None
         return cls(
             phi_clamp=np.zeros(K),
             sigma_clamp=np.zeros(K),
             newton_iters=np.zeros(K, dtype=int),
             cg_u=np.zeros(K, dtype=int),
             sigma_cap=sigma_cap_for(spec, control),
-            z_window=window,
             lo=np.full(3, np.inf),
             hi=np.full(3, -np.inf),
         )
@@ -117,30 +109,6 @@ class Diagnostics:
         """Widen the field ranges by one level."""
         np.minimum(self.lo, (phi.min(), sigma.min(), z.min()), out=self.lo)
         np.maximum(self.hi, (phi.max(), sigma.max(), z.max()), out=self.hi)
-
-    @property
-    def z_excess(self):
-        """How far the damage range leaves the certified window; 0.0 without one."""
-        if self.z_window is None:
-            return 0.0
-        return max(0.0, self.z_window[0] - float(self.lo[2]), float(self.hi[2]) - self.z_window[1])
-
-    @property
-    def contained(self):
-        """Whether the damage range stayed in its certified window, up to rounding."""
-        return self.z_excess <= 1e-12
-
-    def summary(self):
-        return {
-            "phi_clamp_max": f"{self.phi_clamp.max():.6e}",
-            "sigma_clamp_max": f"{self.sigma_clamp.max():.6e}",
-            "newton_iters_max": str(self.newton_iters.max()),
-            "cg_iters_max": str(self.cg_u.max()),
-            "sigma_cap": f"{self.sigma_cap:.6e}",
-            # sigma_cap_for is a monitored bound, not a proven one
-            "sigma_cap_heuristic": "true",
-            "z_excess": f"{self.z_excess:.3e}",
-        }
 
 
 @dataclass

@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -295,8 +296,9 @@ def schema_sweep():
 
 
 def test_schema_sweep_exits_with_a_readme_code(tmp_path, capsys):
-    # separation assembles the run and marches it; run through all five
-    # commands, this sweep escapes on no config that separation passes
+    # separation gates, assembles the run and marches it; run through all
+    # five commands, this sweep escapes on no config that separation passes.
+    # A failure is one line on stderr, with no numpy warning ahead of it
     escapes = []
     for section, key, value in schema_sweep():
         sections = {name: dict(keys) for name, keys in SWEEP_BASE.items()}
@@ -307,8 +309,7 @@ def test_schema_sweep_exits_with_a_readme_code(tmp_path, capsys):
             rc = main(["separation", "--config", write_cfg(tmp_path, text)])
         except Exception as e:  # anything that escapes main is a finding
             rc = f"{type(e).__name__}: {e}"
-        capsys.readouterr()
-        if rc not in (0, 1, 2, 3):
+        if rc not in (0, 1, 2, 3) or capsys.readouterr().err.count("\n") > 1:
             escapes.append(f"[{section}] {key} = {value}: {rc}")
     assert not escapes, "\n".join(escapes)
 
@@ -350,6 +351,29 @@ z0 = const:0.5
     assert "contained" in out
 
 
+def test_separation_gates_before_it_marches(tmp_path, capsys, monkeypatch):
+    (marches,) = record_calls(monkeypatch, state.march)
+    text = "[grid]\nnx = 6\nny = 6\n[time]\nsteps = 4\n[model]\nphi0 = const:1e200\n"
+    rc = main(["separation", "--config", write_cfg(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out.startswith("hypothesis gate failed:\n  initial-data-range: ")
+    assert captured.err == ""
+    assert marches == []
+
+
+def test_floating_point_fault_is_one_solver_error(tmp_path, capsys):
+    # a step of 1e-202 makes 0 * inf in the march; no numpy warning may
+    # reach the user ahead of the error line
+    text = "[grid]\nnx = 6\nny = 6\n[time]\nsteps = 4\nt_final = 1e-200\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("solver error: invalid value encountered") and err.count("\n") == 1
+
+
 def test_separation_infeasible_slope_names_condition(tmp_path, capsys):
     text = "[model]\nc1 = 0.05\niota_const = 5.0\nz0 = const:0.5\n"
     cfg = write_cfg(tmp_path, text)
@@ -363,6 +387,8 @@ ERROR_EXITS = [
     (ConfigError("bad key"), 2, "err", "config error: bad key"),
     (SolverError("no convergence"), 3, "err", "solver error: no convergence"),
     (DomainError("beta argument outside (0, 1)"), 3, "err", "solver error: beta argument"),
+    (FloatingPointError("overflow encountered in multiply"), 3, "err",
+     "solver error: overflow encountered in multiply"),
     (SeparationError("no radius", condition="lower-sign-condition"), 1, "out",
      "separation analysis failed (lower-sign-condition): no radius"),
 ]
@@ -474,11 +500,12 @@ def test_unusable_output_directory_is_config_error(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("command", ["simulate", "optimize"])
 def test_separation_bounds_computed_once_per_run(tmp_path, capsys, monkeypatch, command):
+    # only the commands that print a containment verdict read the interval
     (calls,) = record_calls(monkeypatch, model.separation_bounds)
     cfg = write_cfg(tmp_path, OPTIMIZE_SMALL)
     main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert f"{command}: " in capsys.readouterr().out
-    assert len(calls) == 1
+    assert len(calls) == {"simulate": 1, "optimize": 0}[command]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "bin"])

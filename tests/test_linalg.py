@@ -105,3 +105,18 @@ def test_cg_rejects_a_non_finite_right_hand_side(bad):
     with pytest.raises(SolverError, match="u-step: right-hand side norm is"):
         cg_solve(counted, b, precond=lambda r: r, label="u-step")
     assert not calls
+
+
+def test_cg_stops_at_the_first_nan_product():
+    # p.Ap = nan fails both the positivity and the residual test, so only
+    # an explicit check keeps CG from spending its budget on NaN
+    b = np.ones(49)
+    calls = []
+
+    def nan_operator(v):
+        calls.append(1)
+        return np.full_like(v, np.nan)
+
+    with pytest.raises(SolverError, match=r"u-step: operator lost positive definiteness \(p.Ap = nan\)"):
+        cg_solve(nan_operator, b, precond=lambda r: r, label="u-step")
+    assert len(calls) == 1

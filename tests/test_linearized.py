@@ -1,6 +1,6 @@
 """Tangent solver tests: coefficient tables against finite differences,
 linearity, and the Taylor remainder ladder."""
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from tumorctrl.adjoint import (
 from tumorctrl.errors import DomainError
 from tumorctrl.grid import Grid, stress_from_strain, tensor_dot
 from tumorctrl.linearized import (
+    LinearizedCoefficients,
     TangentStep,
     assemble_coefficients,
     block_steps,
@@ -154,6 +155,19 @@ def test_block_error_names_the_step(spec):
     eps[1, 3, 2, 5] = np.nan
     with pytest.raises(DomainError, match=r"coefficient c1 non-finite at step 13, node \(0, 2, 5\)"):
         assemble_coefficients(phi, sigma, z, eps, chi1, chi2, spec, phi, z, 10)
+
+
+def test_block_error_names_the_earliest_step_before_the_component():
+    # a tensor's component leads its node, but the earliest step decides
+    shape = (4, 3, 5)
+    block = LinearizedCoefficients(**{
+        f.name: np.zeros((3,) + shape if f.name in ("c1", "c2", "d2") else shape)
+        for f in fields(LinearizedCoefficients)
+    })
+    block.d2[0, 3, 0, 0] = np.nan
+    block.d2[1, 1, 2, 4] = np.inf
+    with pytest.raises(DomainError, match=r"coefficient d2 non-finite at step 11, node \(1, 2, 4\)$"):
+        block.validate(10)
 
 
 def test_block_steps_follow_byte_budget(monkeypatch):

@@ -321,19 +321,16 @@ def test_separation_zero_source_brackets_half(spec):
     assert out.r_low <= 0.5 <= out.r_high
 
 
-def test_separation_infeasible_small_c1(spec, monkeypatch):
+def test_separation_infeasible_small_c1(spec):
     sp = closed_form_spec(spec, c1=0.01, c2=0.0, iota=1.4, psi_max=0.1)
     with pytest.raises(SeparationError) as exc:
         M.separation_bounds(sp)
     assert "sign-condition" in exc.value.condition
-    # the spec caches the failure like a result: one analysis, raised on every access
-    calls, original = [], M.separation_bounds
-    monkeypatch.setattr(M, "separation_bounds", lambda s: calls.append(1) or original(s))
+    # a spec without an interval raises its condition on every access
     for _ in range(2):
         with pytest.raises(SeparationError) as exc:
             sp.separation
         assert "sign-condition" in exc.value.condition
-    assert len(calls) == 1
 
 
 def test_separation_tightens_to_initial_range(spec):

@@ -596,10 +596,9 @@ def test_invariants_under_stress():
     assert traj.phi.max() <= sc.spec.N + 1e-9
     assert traj.sigma.min() >= -1e-9
     assert traj.sigma.max() <= d.sigma_cap + 1e-9
-    assert d.z_window is not None
-    lo, hi = d.z_window
-    assert traj.z.min() >= lo - 1e-12
-    assert traj.z.max() <= hi + 1e-12
+    sb = sc.spec.separation
+    assert traj.z.min() >= sb.r_low - 1e-12
+    assert traj.z.max() <= sb.r_high + 1e-12
     assert np.abs(traj.u[:, :, traj.grid.boundary_mask]).max() == 0.0
     assert np.array_equal(traj.phi[0], sc.spec.phi0)
     assert np.array_equal(traj.z[0], sc.spec.z0)
@@ -620,16 +619,16 @@ def test_march_yields_the_levels_solve_state_keeps():
     for name in ("phi_clamp", "sigma_clamp", "newton_iters", "cg_u"):
         assert np.array_equal(getattr(d, name), getattr(ref, name)), name
     assert d.phi_clamp.max() > 0.0
-    assert (d.sigma_cap, d.z_window) == (ref.sigma_cap, ref.z_window)
+    assert d.sigma_cap == ref.sigma_cap
     # the ranges span levels 0..K, the initial data included
     fields = (traj.phi, traj.sigma, traj.z)
     for got in (d, ref):
         assert np.array_equal(got.lo, [f.min() for f in fields])
         assert np.array_equal(got.hi, [f.max() for f in fields])
-    # the window holds the initial damage, so level 0 leaves the excess as it was
-    lo, hi = d.z_window
-    assert d.z_excess == ref.z_excess == max(
-        0.0, lo - traj.z[1:].min(), traj.z[1:].max() - hi)
+    # the interval holds the initial damage, so level 0 leaves the excess as it was
+    sb = sc.spec.separation
+    assert sb.excess(d.lo[2], d.hi[2]) == sb.excess(ref.lo[2], ref.hi[2]) == max(
+        0.0, sb.r_low - traj.z[1:].min(), traj.z[1:].max() - sb.r_high)
 
 
 def test_sigma_cap_uses_actual_drive(small_spec):
@@ -650,7 +649,9 @@ def test_save_trajectory_round_trip(tmp_path):
     for n, t in enumerate(traj.times):
         named = snapshot_fields(traj.phi[n], traj.sigma[n], traj.u[n], traj.z[n])
         write_snapshots(tmp_path, grid, n, float(t), named, "csv")
-    write_manifest(tmp_path / "run.manifest", run_manifest(grid, traj.times, "csv", traj.diagnostics))
+    d = traj.diagnostics
+    z_excess = sc.spec.separation.excess(d.lo[2], d.hi[2])
+    write_manifest(tmp_path / "run.manifest", run_manifest(grid, traj.times, "csv", d, z_excess))
     info = read_manifest(tmp_path / "run.manifest")
     assert info["n_steps"] == "4"
     assert info["sigma_cap_heuristic"] == "true"
