@@ -28,7 +28,7 @@ from .state import StateTrajectory, step_operators, u_operator
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Nonnegative weights of the nine cost addends, not all zero."""
+    """Nonnegative weights of the nine cost addends, not all zero; checked when built."""
 
     alpha1: float = 1.0
     alpha2: float = 1.0
@@ -40,16 +40,15 @@ class CostWeights:
     alpha8: float = 0.0
     alpha9: float = 1e-3
 
-    def as_array(self):
-        return np.array(astuple(self))
-
-    def validate(self):
+    def __post_init__(self):
         a = self.as_array()
         if not np.all(np.isfinite(a)) or (a < 0).any():
             raise ValueError("cost weights must be finite and nonnegative")
         if not (a > 0).any():
             raise ValueError("at least one cost weight must be positive")
-        return self
+
+    def as_array(self):
+        return np.array(astuple(self))
 
 
 @dataclass
@@ -114,7 +113,6 @@ def _time_quadrature(traj: StateTrajectory):
 
 def eval_cost(traj: StateTrajectory, weights: CostWeights, targets: Targets, spec):
     """Evaluate the objective along a trajectory; returns (total, parts)."""
-    weights.validate()
     g = traj.grid
     targets.validate(g)
     a = weights.as_array()
@@ -172,7 +170,6 @@ def cost_derivative(traj: StateTrajectory, lin, weights: CostWeights, targets: T
     The terminal partials pair with lin at level K, the running partials
     with lin and its strain under eval_cost's time quadrature.
     """
-    weights.validate()
     g = traj.grid
     targets.validate(g)
 
@@ -213,7 +210,6 @@ def march_adjoint(traj: StateTrajectory, weights: CostWeights, targets: Targets,
     that the next step reads, so a consumer may keep them but writes only
     to copies.
     """
-    weights.validate()
     g = traj.grid
     targets.validate(g)
     K = traj.n_steps

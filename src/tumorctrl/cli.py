@@ -127,8 +127,8 @@ def cmd_simulate(cfg, args):
         f"(cap {d.sigma_cap:.6g}, heuristic)"
     )
     print(
-        f"clamp excess before projection: tumor {max(0.0, float(d.phi_clamp.max())):.3e}, "
-        f"lactate {max(0.0, float(d.sigma_clamp.max())):.3e}"
+        f"clamp excess before projection: tumor {d.phi_clamp.max():.3e}, "
+        f"lactate {d.sigma_clamp.max():.3e}"
     )
     print(
         f"separation: damage in [{d.lo[2]:.6g}, {d.hi[2]:.6g}], "
@@ -157,12 +157,12 @@ def _oracle_preflight(cfg):
     if abs(sg - float(spec.sigma_gamma.flat[0])) > 1e-12:
         raise ConfigError("the pointwise oracle needs the lactate pinned at its boundary level")
     chi2 = float(cfg.control0.chi2.flat[0])
-    # the reduction holds only when the lactate balance cannot drift, i.e.
-    # supply and consumption are blind to tumor and damage
+    # the reduction holds only when the lactate balance cannot drift: supply
+    # and consumption are blind to tumor and damage, and chi2*S = K(sg)
     probes = [(0.0, 0.0), (0.6 * spec.N, 0.9), (0.3 * spec.N, 0.2)]
     s_vals = [float(spec.S.value(np.array(p), np.array(z))) for p, z in probes]
     k_vals = [float(mdl.eval_K(np.array(p), np.array(sg), np.array(z), spec)) for p, z in probes]
-    drift = abs(chi2 * s_vals[0] * sg - k_vals[0] * sg)
+    drift = abs(chi2 * s_vals[0] - k_vals[0])
     if np.ptp(s_vals) > 1e-12 or np.ptp(k_vals) > 1e-12 or drift > 1e-10:
         raise ConfigError(
             "the pointwise oracle needs constant lactate kinetics "

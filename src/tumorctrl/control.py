@@ -42,7 +42,7 @@ from .state import Control, StateTrajectory, solve_state
 
 @dataclass(frozen=True)
 class AdmissibleSet:
-    """Pointwise dose boxes plus a smoothness ball on the first dose."""
+    """Finite dose boxes plus a smoothness ball on the first dose; checked when built."""
 
     chi1_low: float = 0.0
     chi1_high: float = 1.0
@@ -50,14 +50,13 @@ class AdmissibleSet:
     chi2_high: float = 1.0
     c_ad: float = np.inf
 
-    def validate(self):
+    def __post_init__(self):
         if not np.isfinite((self.chi1_low, self.chi1_high, self.chi2_low, self.chi2_high)).all():
             raise ValueError("admissible box ends must be finite")
         if not (self.chi1_low <= self.chi1_high and self.chi2_low <= self.chi2_high):
             raise ValueError("admissible boxes are empty")
         if not self.c_ad > 0:
             raise ValueError("smoothness radius must be positive")
-        return self
 
 
 def control_inner(a: Control, b: Control, grid, T):
@@ -83,7 +82,6 @@ def project_admissible(control: Control, adm: AdmissibleSet, grid, T):
 
     Returns the projected control and whether the ball was active.
     """
-    adm.validate()
     chi1 = np.clip(control.chi1, adm.chi1_low, adm.chi1_high)
     chi2 = np.clip(control.chi2, adm.chi2_low, adm.chi2_high)
     ball_active = False
@@ -167,8 +165,6 @@ def optimize(
     """
     g = spec.grid
     T = spec.T
-    weights.validate()
-    adm.validate()
 
     def first_order(current, traj):
         """Reduced gradient and stationarity at an iterate."""

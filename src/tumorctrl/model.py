@@ -447,18 +447,9 @@ def check_hypotheses(spec: ModelSpec, rng: Optional[np.random.Generator] = None)
         )
     )
 
-    # divergence proxy: squaring the distance to the endpoint must (nearly)
-    # double beta, which only an unbounded log-type branch does
-    b6, b12 = float(beta(1e-6, spec)), float(beta(1e-12, spec))
-    t6, t12 = float(beta(1.0 - 1e-6, spec)), float(beta(1.0 - 1e-12, spec))
-    blow = min(1.9 * b6 - b12, t12 - 1.9 * t6)
+    # beta = C1*log(r/(1-r)) blows up at both ends exactly when C1 > 0
     rows.append(
-        HypothesisRow(
-            "damage-barrier",
-            bool(spec.C1 > 0.0 and blow >= 0.0),
-            float(min(spec.C1, blow)),
-            f"(C1={spec.C1:.4g})",
-        )
+        HypothesisRow("damage-barrier", bool(spec.C1 > 0.0), float(spec.C1), f"(C1={spec.C1:.4g})")
     )
 
     eps = rng.uniform(-0.6, 0.6, (3, n))
@@ -490,7 +481,7 @@ def check_hypotheses(spec: ModelSpec, rng: Optional[np.random.Generator] = None)
     closed_margin = min(m for m, _ in ends[:4])
     interior_margin = min(m for m, _ in ends[4:])
     init_margin, witness = min(ends, key=lambda e: e[0])
-    bnd_u0 = float(np.abs(spec.u0[:, spec.grid.boundary_mask]).max()) if spec.u0.size else 0.0
+    bnd_u0 = float(np.abs(spec.u0[:, spec.grid.boundary_mask]).max())
     rows.append(
         HypothesisRow(
             "initial-data-range",

@@ -56,13 +56,13 @@ class Control:
         shape = (n_steps + 1,) + grid.shape
         return cls(np.full(shape, float(c1)), np.full(shape, float(c2)))
 
-    def validate(self, grid=None):
-        """Check shapes and finiteness, and with grid given its node shape."""
+    def validate(self, grid):
+        """Check matching shapes on grid's nodes, at least 2 time levels, and finiteness."""
         if self.chi1.shape != self.chi2.shape or self.chi1.ndim != 3:
             raise ValueError("control components need matching (K+1, ny+1, nx+1) shapes")
         if self.chi1.shape[0] < 2:
             raise ValueError(f"control needs at least 2 time levels, got {self.chi1.shape[0]}")
-        if grid is not None and self.chi1.shape[1:] != grid.shape:
+        if self.chi1.shape[1:] != grid.shape:
             raise ValueError(
                 f"control is defined on nodes {self.chi1.shape[1:]}, the grid has {grid.shape}"
             )
@@ -314,7 +314,7 @@ def step_z(z, phi_new, eps_new, ops, spec):
 def sigma_cap_for(spec, control) -> float:
     """Monitored lactate bound: data cap plus worst-case driven production."""
     # reduced before clamping: a broadcast dose view then makes no dense temporary
-    drive = max(float(control.chi2.max()), 0.0) if control.chi2.size else 0.0
+    drive = max(float(control.chi2.max()), 0.0)
     return max(spec.M0, float(spec.sigma0.max())) + spec.T * drive * spec.S.hi
 
 

@@ -128,11 +128,13 @@ def test_cost_partials_are_the_derivative_of_eval_cost():
 
 
 def test_cost_weight_validation():
-    with pytest.raises(ValueError):
-        CostWeights(alpha1=-1.0).validate()
-    with pytest.raises(ValueError):
-        CostWeights(*([0.0] * 9)).validate()
-    CostWeights().validate()
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        CostWeights(alpha1=-1.0)
+    with pytest.raises(ValueError, match="at least one cost weight must be positive"):
+        CostWeights(*([0.0] * 9))
+    with pytest.raises(ValueError, match="cost weights must be finite and nonnegative"):
+        replace(CostWeights(), alpha1=-1.0)
+    CostWeights()
 
 
 def test_target_validation():

@@ -791,6 +791,14 @@ def test_each_hypothesis_row_fails_on_its_falsifier_alone(tmp_path, capsys, row)
     assert "8 conditions, 1 failing" in out
 
 
+def test_damage_barrier_margin_is_c1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[grid]\nnx = 6\nny = 6\n[model]\nc1 = -0.5\n")
+    main(["hypothesis-check", "--config", cfg])
+    out = capsys.readouterr().out
+    row = next(l for l in out.splitlines() if l.startswith("damage-barrier")).split(None, 3)[1:]
+    assert row == ["FAIL", "-5.000e-01", "(C1=-0.5)"]
+
+
 @pytest.mark.parametrize("line, row", [
     ("", ["pass", "1.118e-06", "(min phi0 = 1.118e-06)"]),
     ("z0 = const:0", ["FAIL", "0.000e+00", "(min z0 = 0)"]),
@@ -864,6 +872,15 @@ def test_oracle_on_reducible_config(tmp_path, capsys):
     line = next(l for l in out.split("\n") if "pointwise oracle" in l)
     err = float(line.split("sup error")[1].split()[0])
     assert err < 5e-3
+
+
+def test_oracle_rejects_drifting_lactate_at_zero_boundary_level(tmp_path, capsys):
+    # chi2*S - K(0) = 0.234375*0.8 > 0, so the lactate leaves its boundary level 0
+    text = ODE_SCENARIO.replace("const:0.6", "const:0.0")
+    rc = main(["simulate", "--config", write_cfg(tmp_path, text), "--oracle",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "balancing second dose" in capsys.readouterr().err
 
 
 def test_oracle_rejects_inhomogeneous_config(tmp_path, capsys):

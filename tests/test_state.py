@@ -663,14 +663,14 @@ def test_save_trajectory_round_trip(tmp_path):
 def test_control_validation():
     g = Grid.unit(6, 6)
     c = Control.zeros(g, 3)
-    c.validate()
+    c.validate(g)
     bad = Control(c.chi1, c.chi2[:, :-1])
     with pytest.raises(ValueError):
-        bad.validate()
+        bad.validate(g)
     nan = Control(c.chi1.copy(), c.chi2.copy())
     nan.chi1[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
-        nan.validate()
+        nan.validate(g)
 
 
 def test_solve_state_rejects_zero_step_control(small_spec):
